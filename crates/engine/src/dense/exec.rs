@@ -1,19 +1,87 @@
-//! The two dense executors: ahead-of-time compiled and lazily compiled.
+//! The dense executor, written once over its pair table.
 //!
-//! Both mirror [`crate::Executor`] exactly — same scheduler, same seed
-//! handling, same oracle semantics, same [`Outcome`]s — and share the
-//! batched draw machinery of [`super::decoder`]; they differ only in
-//! where successor pairs come from (a precomputed `|Λ|²` table vs the
-//! on-demand [`LazyTable`] cache). Differential tests in the workspace
-//! pin both to identical traces with the generic engine.
+//! [`TableExecutor`] mirrors [`crate::Executor`] exactly — same
+//! scheduler, same seed handling, same oracle semantics, same
+//! [`Outcome`]s — and draws its interactions through the batched
+//! machinery of [`super::decoder`]. The two dense engines differ only in
+//! where successor pairs come from, which [`PairTable`] abstracts: a
+//! precomputed `|Λ|²` table ([`DenseExecutor`], over a
+//! [`CompiledProtocol`]) or the on-demand [`LazyTable`] cache
+//! ([`LazyDenseExecutor`]). Differential tests in the workspace pin both
+//! to identical traces with the generic engine.
 
 use super::decoder::{clique_decode, orient, EdgeDecoder, PAIR_BATCH};
-use super::lazy::{LazyId, LazyTable};
-use super::table::{CompiledProtocol, StateId};
+use super::lazy::LazyTable;
+use super::table::CompiledProtocol;
 use crate::executor::{NotStabilized, Outcome};
 use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
 use popele_graph::{Graph, NodeId};
+
+/// The pair lookup a [`TableExecutor`] runs over: dense ids for typed
+/// states, and the successor of an ordered id pair. Implemented by the
+/// ahead-of-time [`CompiledProtocol`] (borrowed, shared across threads)
+/// and the lazily-built [`LazyTable`] (owned, interning on first sight).
+pub trait PairTable {
+    /// The protocol the table lowers.
+    type Protocol: Protocol;
+    /// Dense state id ([`super::StateId`] or [`super::LazyId`]);
+    /// `From<u8>` reads the byte-wide successors of [`PairTable::fused`].
+    type Id: Copy + Eq + Into<u32> + From<u8>;
+    /// Per-transition handle from which [`PairTable::leader_delta`] and
+    /// [`PairTable::effect_inert`] read, fetched only for state-changing
+    /// pairs.
+    type Effect: Copy;
+    /// Whether clique runs take the fused draw-decode-apply loop instead
+    /// of the pair buffer. Only ahead-of-time tables do.
+    const FUSED_CLIQUE: bool;
+
+    /// The protocol instance.
+    fn protocol(&self) -> &Self::Protocol;
+    /// Id of node `v`'s initial state.
+    fn initial_id(&mut self, v: NodeId) -> Self::Id;
+    /// Successor pair of the ordered interaction `(a, b)` and its effect
+    /// handle, or `None` when the interaction changes neither state. The
+    /// oracle summarizes the transition on a lazy-cache miss.
+    fn lookup(
+        &mut self,
+        a: Self::Id,
+        b: Self::Id,
+        oracle: &<Self::Protocol as Protocol>::Oracle,
+    ) -> Option<(Self::Id, Self::Id, Self::Effect)>;
+    /// Net change in the number of leader-output nodes of a transition.
+    fn leader_delta(&self, effect: Self::Effect) -> i8;
+    /// Whether the oracle vouches that applying the transition right now
+    /// would change nothing (see [`StabilityOracle::effect_inert`]).
+    fn effect_inert(
+        &self,
+        oracle: &<Self::Protocol as Protocol>::Oracle,
+        effect: Self::Effect,
+    ) -> bool;
+    /// Output role of state `id`.
+    fn role(&self, id: Self::Id) -> Role;
+    /// Typed state of `id`.
+    fn state(&self, id: Self::Id) -> &<Self::Protocol as Protocol>::State;
+    /// Id of a typed state, for [`TableExecutor::set_configuration`].
+    ///
+    /// # Panics
+    ///
+    /// Ahead-of-time tables panic if the state was not enumerated.
+    fn id_of(&mut self, state: &<Self::Protocol as Protocol>::State) -> Self::Id;
+    /// Most nodes the table serves (`None`: no limit).
+    fn max_nodes(&self) -> Option<u32>;
+    /// Number of states with an id so far.
+    fn num_states(&self) -> usize;
+    /// The branchless fused table: entry `(a << 8) | b` packs
+    /// `(delta + 2) << 16 | a' << 8 | b'`. Only small ahead-of-time
+    /// tables have one.
+    fn fused(&self) -> Option<&[u32]> {
+        None
+    }
+}
+
+type StateOf<T> = <<T as PairTable>::Protocol as Protocol>::State;
+type OracleOf<T> = <<T as PairTable>::Protocol as Protocol>::Oracle;
 
 /// When a batched run loop should stop early (beyond its step budget).
 /// `Stable` serves `run_until_stable`, `Unstable` the holding-time loop
@@ -57,390 +125,55 @@ impl DenseCensus {
     }
 }
 
-/// Runs one execution of a [`CompiledProtocol`] on a [`Graph`].
-///
-/// Drop-in counterpart of [`crate::Executor`]: identical constructor
-/// signature modulo the compiled table, identical scheduler and seed
-/// semantics, identical oracle behaviour and [`Outcome`]s — only the
-/// per-interaction cost differs. The stability oracle is the protocol's
-/// own [`StabilityOracle`], driven with borrowed typed states from the
-/// compiled id ↔ state mapping, and is skipped entirely for the (vastly
-/// most common, late in a run) no-op interactions — valid because oracle
-/// updates are pure count deltas, so an identity transition is always a
-/// no-op on the oracle too.
-pub struct DenseExecutor<'a, P: Protocol> {
-    graph: &'a Graph,
-    compiled: &'a CompiledProtocol<P>,
-    scheduler: EdgeScheduler<'a>,
-    ids: Vec<StateId>,
-    oracle: P::Oracle,
+/// The configuration and what observes it, split from the draw buffers
+/// so the hot loops can borrow the table and the configuration at once.
+struct Config<T: PairTable> {
+    ids: Vec<T::Id>,
+    oracle: OracleOf<T>,
     /// When the oracle declared
     /// [`StabilityOracle::stable_iff_unique_leader`], the engine tracks
-    /// the leader count itself via the compiled per-pair deltas and the
+    /// the leader count itself via the tables' per-pair deltas and the
     /// typed oracle is bypassed entirely (`leaders` is then
     /// authoritative; the substitution is behaviour-identical).
     linear: bool,
     leaders: i64,
     census: Option<DenseCensus>,
-    /// Pairs pre-drawn from the scheduler in a tight batch (see
-    /// [`EdgeDecoder::fill_batch`]); `pairs[cursor..filled]` are drawn
-    /// but not yet applied. `applied` — not the scheduler's draw count —
-    /// is the execution's step counter. Refills never draw past the step
-    /// budget of the run call they serve, so bounded runs
-    /// ([`DenseExecutor::run_steps`]) consume the scheduler stream
-    /// exactly as far as the generic engine would — the property that
-    /// lets [`crate::faults`] interleave graph changes with execution on
-    /// both engines identically.
-    pairs: Box<[(NodeId, NodeId)]>,
-    raw: Box<[usize]>,
-    cursor: usize,
-    filled: usize,
-    applied: u64,
-    decoder: EdgeDecoder,
 }
 
-impl<'a, P: Protocol> DenseExecutor<'a, P> {
-    /// Creates an executor with every node in its initial state.
-    ///
-    /// The compiled node count may exceed the graph's: a compilation for
-    /// `n + k` nodes serves any graph with at most `n + k` nodes, which
-    /// is how fault plans with node churn ([`crate::faults`]) share one
-    /// table across all epochs. (The state enumeration for more nodes is
-    /// a superset, so the table still covers every reachable pair.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no edges or more nodes than the protocol
-    /// was compiled for.
-    #[must_use]
-    pub fn new(graph: &'a Graph, compiled: &'a CompiledProtocol<P>, seed: u64) -> Self {
-        assert!(
-            graph.num_nodes() <= compiled.num_nodes(),
-            "graph size does not match the compiled protocol"
-        );
-        let ids = compiled.initial[..graph.num_nodes() as usize].to_vec();
-        let mut oracle = compiled.protocol.oracle();
-        let linear = oracle.stable_iff_unique_leader();
-        if !linear {
-            // In linear mode the typed oracle is bypassed entirely
-            // (`leaders` is authoritative), so skip the O(n) typed
-            // materialization.
-            oracle.recompute(&compiled.protocol, &compiled.typed_config(&ids));
-        }
-        let leaders = ids
-            .iter()
-            .filter(|&&id| compiled.roles[id as usize] == Role::Leader)
-            .count() as i64;
-        Self {
-            graph,
-            compiled,
-            scheduler: EdgeScheduler::new(graph, seed),
-            ids,
-            oracle,
-            linear,
-            leaders,
-            census: None,
-            pairs: vec![(0, 0); PAIR_BATCH].into_boxed_slice(),
-            raw: vec![0usize; PAIR_BATCH].into_boxed_slice(),
-            cursor: 0,
-            filled: 0,
-            applied: 0,
-            decoder: EdgeDecoder::for_graph(graph),
-        }
-    }
-
-    /// Refills the pair buffer with one batch of up to `limit ≤
-    /// PAIR_BATCH` scheduler draws through the decoder.
-    fn refill(&mut self, limit: usize) {
-        self.decoder
-            .fill_batch(&mut self.scheduler, &mut self.pairs[..limit], &mut self.raw);
-        self.cursor = 0;
-        self.filled = limit;
-    }
-
-    /// Enables the distinct-state census (O(1) per changed state).
-    pub fn enable_state_census(&mut self) {
-        let mut census = DenseCensus::new(self.compiled.num_states());
-        for &id in &self.ids {
-            census.mark(u32::from(id));
-        }
-        self.census = Some(census);
-    }
-
-    /// The underlying graph.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// The compiled protocol driving this execution.
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledProtocol<P> {
-        self.compiled
-    }
-
-    /// Current configuration as dense ids.
-    #[must_use]
-    pub fn state_ids(&self) -> &[StateId] {
-        &self.ids
-    }
-
-    /// Typed state of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn state_of(&self, v: NodeId) -> &P::State {
-        &self.compiled.states[self.ids[v as usize] as usize]
-    }
-
-    /// Steps applied so far.
-    ///
-    /// The scheduler may have *drawn* up to one batch further ahead (the
-    /// undrawn pairs are buffered and will be applied next), so this is
-    /// the model's time step `t`, not the raw RNG draw count.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.applied
-    }
-
-    /// Applies the ordered interaction `(u, v)` to the configuration.
-    #[inline]
-    fn apply_pair(&mut self, u: NodeId, v: NodeId) {
-        let (iu, iv) = (u as usize, v as usize);
-        let a = self.ids[iu];
-        let b = self.ids[iv];
-        let k = self.compiled.states.len();
-        let packed = self.compiled.table[a as usize * k + b as usize];
-        let current = (u32::from(a) << 16) | u32::from(b);
-        if packed != current {
-            let na = (packed >> 16) as StateId;
-            let nb = packed as StateId;
-            if self.linear {
-                self.leaders += i64::from(self.compiled.leader_delta[a as usize * k + b as usize]);
-            } else {
-                let states = &self.compiled.states;
-                self.oracle.apply(
-                    &self.compiled.protocol,
-                    (&states[a as usize], &states[b as usize]),
-                    (&states[na as usize], &states[nb as usize]),
-                );
-            }
-            if let Some(census) = &mut self.census {
-                census.mark(u32::from(na));
-                census.mark(u32::from(nb));
-            }
-            self.ids[iu] = na;
-            self.ids[iv] = nb;
-        }
-    }
-
-    /// Applies one interaction and returns the sampled `(initiator,
-    /// responder)` pair.
-    #[inline]
-    pub fn step(&mut self) -> (NodeId, NodeId) {
-        if self.cursor == self.filled {
-            self.refill(PAIR_BATCH);
-        }
-        let (u, v) = self.pairs[self.cursor];
-        self.cursor += 1;
-        self.applied += 1;
-        self.apply_pair(u, v);
-        (u, v)
-    }
-
-    /// Applies up to `budget` already-buffered interactions in one tight
-    /// loop (the engine's hot path: two id reads, one table lookup, two
-    /// id writes per interaction, with oracle/census work only on the
-    /// rare state-changing pairs).
-    ///
-    /// Returns right after the state change that satisfies `stop`. The
-    /// caller guarantees `budget ≤` the number of buffered pairs.
-    fn apply_batch(&mut self, budget: usize, stop: Stop) {
-        let compiled = self.compiled;
-        let k = compiled.states.len();
-        let table = &compiled.table;
-        let states = &compiled.states;
-        let end = self.cursor + budget;
-        let mut i = self.cursor;
-        while i < end {
-            let (u, v) = self.pairs[i];
-            i += 1;
-            let (iu, iv) = (u as usize, v as usize);
-            let a = self.ids[iu];
-            let b = self.ids[iv];
-            let idx = a as usize * k + b as usize;
-            let packed = table[idx];
-            if packed != ((u32::from(a) << 16) | u32::from(b)) {
-                let na = (packed >> 16) as StateId;
-                let nb = packed as StateId;
-                if self.linear {
-                    self.leaders += i64::from(compiled.leader_delta[idx]);
-                } else {
-                    self.oracle.apply(
-                        &compiled.protocol,
-                        (&states[a as usize], &states[b as usize]),
-                        (&states[na as usize], &states[nb as usize]),
-                    );
-                }
-                if let Some(census) = &mut self.census {
-                    census.mark(u32::from(na));
-                    census.mark(u32::from(nb));
-                }
-                self.ids[iu] = na;
-                self.ids[iv] = nb;
-                if self.stop_now(stop) {
-                    break;
-                }
-            }
-        }
-        self.applied += (i - self.cursor) as u64;
-        self.cursor = i;
-    }
-
-    /// Fused runner for the computed-edge (clique) decoder: RNG draw,
-    /// arithmetic decode and table apply in one loop, with no pair
-    /// buffer in between. The RNG state and the configuration are
-    /// independent dependency chains, so the processor overlaps them;
-    /// this is the engine's fastest path. Requires the pair buffer to
-    /// be drained and applies at most `budget` interactions, returning
-    /// early (right after the causing change) once the oracle satisfies
-    /// `stop`.
-    fn run_fused_clique(&mut self, budget: u64, stop: Stop) {
-        debug_assert_eq!(self.cursor, self.filled, "pair buffer must be drained");
-        let EdgeDecoder::Clique { n, shift, row_hint } = &self.decoder else {
-            unreachable!("fused path requires the clique decoder")
+impl<T: PairTable> Config<T> {
+    /// Applies the ordered interaction of nodes `iu` and `iv` — two id
+    /// reads, one table lookup, two id writes, with oracle and census
+    /// work only on the rare state-changing pairs — and returns whether
+    /// `stop` holds afterwards. For non-linear oracles, an effect the
+    /// oracle vouches inert skips the typed [`StabilityOracle::apply`]
+    /// and the state reads feeding it: an inert application changes no
+    /// counter, so stability cannot flip and the stop check is skipped
+    /// along with it.
+    #[inline(always)]
+    fn apply(&mut self, table: &mut T, iu: usize, iv: usize, stop: Stop) -> bool {
+        let (a, b) = (self.ids[iu], self.ids[iv]);
+        let Some((na, nb, effect)) = table.lookup(a, b, &self.oracle) else {
+            return false;
         };
-        let n = *n as u32;
-        let shift = *shift;
-        let compiled = self.compiled;
-        let k = compiled.states.len();
-        let table = &compiled.table;
-        let states = &compiled.states;
-        let mut done = 0u64;
-        if self.linear && self.census.is_none() && compiled.fused.is_some() {
-            // Branchless variant: writing back unchanged ids and adding
-            // a zero leader delta are no-ops, so the data-dependent
-            // "did this pair change state?" branch — mispredicted
-            // constantly mid-election — disappears entirely, and one
-            // load of the fused table serves successors and delta alike.
-            let fused = compiled.fused.as_deref().expect("checked above");
-            while done < budget {
-                let r = self.scheduler.next_raw();
-                done += 1;
-                let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                let (iu, iv) = orient(u, v, r);
-                let (iu, iv) = (iu as usize, iv as usize);
-                let a = self.ids[iu];
-                let b = self.ids[iv];
-                let entry = fused[((a as usize) << 8) | b as usize];
-                self.ids[iu] = ((entry >> 8) & 0xFF) as StateId;
-                self.ids[iv] = (entry & 0xFF) as StateId;
-                self.leaders += i64::from(entry >> 16) - 2;
-                match stop {
-                    Stop::Stable if self.leaders == 1 => break,
-                    Stop::Unstable if self.leaders != 1 => break,
-                    _ => {}
-                }
-            }
+        let mut check_stop = true;
+        if self.linear {
+            self.leaders += i64::from(table.leader_delta(effect));
+        } else if table.effect_inert(&self.oracle, effect) {
+            check_stop = false;
         } else {
-            while done < budget {
-                let r = self.scheduler.next_raw();
-                done += 1;
-                let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                let (iu, iv) = orient(u, v, r);
-                let (iu, iv) = (iu as usize, iv as usize);
-                let a = self.ids[iu];
-                let b = self.ids[iv];
-                let idx = a as usize * k + b as usize;
-                let packed = table[idx];
-                if packed != ((u32::from(a) << 16) | u32::from(b)) {
-                    let na = (packed >> 16) as StateId;
-                    let nb = packed as StateId;
-                    if self.linear {
-                        self.leaders += i64::from(compiled.leader_delta[idx]);
-                    } else {
-                        self.oracle.apply(
-                            &compiled.protocol,
-                            (&states[a as usize], &states[b as usize]),
-                            (&states[na as usize], &states[nb as usize]),
-                        );
-                    }
-                    if let Some(census) = &mut self.census {
-                        census.mark(u32::from(na));
-                        census.mark(u32::from(nb));
-                    }
-                    self.ids[iu] = na;
-                    self.ids[iv] = nb;
-                    if self.stop_now(stop) {
-                        break;
-                    }
-                }
-            }
+            self.oracle.apply(
+                table.protocol(),
+                (table.state(a), table.state(b)),
+                (table.state(na), table.state(nb)),
+            );
         }
-        self.applied += done;
-    }
-
-    /// Applies up to `budget` interactions through buffered pairs (for
-    /// already-drawn pairs and the gather decoders) or the fused path.
-    fn run_budget(&mut self, budget: u64, stop: Stop) {
-        if self.cursor < self.filled {
-            let avail = (self.filled - self.cursor) as u64;
-            self.apply_batch(avail.min(budget) as usize, stop);
-        } else if matches!(self.decoder, EdgeDecoder::Clique { .. }) {
-            self.run_fused_clique(budget, stop);
-        } else {
-            let limit = budget.min(PAIR_BATCH as u64) as usize;
-            self.refill(limit);
-            self.apply_batch(limit, stop);
+        if let Some(census) = &mut self.census {
+            census.mark(na.into());
+            census.mark(nb.into());
         }
-    }
-
-    /// Runs exactly `k` interactions, consuming the scheduler stream
-    /// exactly `k` draws past the buffered pairs — never further — so
-    /// after the buffer drains, the RNG position matches the generic
-    /// engine's at the same step (the alignment [`crate::faults`] relies
-    /// on to perturb both engines identically).
-    pub fn run_steps(&mut self, k: u64) {
-        let mut remaining = k;
-        while remaining > 0 {
-            let before = self.applied;
-            self.run_budget(remaining, Stop::Never);
-            remaining -= self.applied - before;
-        }
-    }
-
-    /// Runs until the oracle reports a stable, correct configuration or
-    /// the step budget is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotStabilized`] if `max_steps` interactions pass without
-    /// stabilization.
-    pub fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
-        while !self.stable_now() {
-            if self.applied >= max_steps {
-                return Err(NotStabilized { max_steps });
-            }
-            self.run_budget(max_steps - self.applied, Stop::Stable);
-        }
-        Ok(self.outcome())
-    }
-
-    /// Runs while the oracle keeps reporting stability, stopping right
-    /// after the first interaction that breaks it (same contract as
-    /// [`crate::Executor::run_while_stable`], and trace-identical to
-    /// it). Returns the violation step, or `None` if `max_steps` total
-    /// interactions passed with stability intact.
-    pub fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
-        while self.stable_now() {
-            if self.applied >= max_steps {
-                return None;
-            }
-            self.run_budget(max_steps - self.applied, Stop::Unstable);
-        }
-        Some(self.applied)
+        self.ids[iu] = na;
+        self.ids[iv] = nb;
+        check_stop && self.stop_now(stop)
     }
 
     #[inline]
@@ -463,250 +196,98 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
         }
     }
 
-    /// Whether the oracle currently reports stability.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        self.stable_now()
-    }
-
-    /// Current number of leader-output nodes (O(n) scan of the role
-    /// table).
-    #[must_use]
-    pub fn leader_count(&self) -> usize {
-        self.ids
-            .iter()
-            .filter(|&&id| self.compiled.roles[id as usize] == Role::Leader)
-            .count()
-    }
-
-    /// The unique leader if exactly one node outputs leader.
-    #[must_use]
-    pub fn leader(&self) -> Option<NodeId> {
-        let mut found = None;
-        for (v, &id) in self.ids.iter().enumerate() {
-            if self.compiled.roles[id as usize] == Role::Leader {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(v as NodeId);
-            }
-        }
-        found
-    }
-
-    /// Snapshot of the current outcome (regardless of stability).
-    #[must_use]
-    pub fn outcome(&self) -> Outcome {
-        Outcome {
-            stabilization_step: self.steps(),
-            leader_count: self.leader_count(),
-            leader: self.leader(),
-            distinct_states: self.census.as_ref().map(|c| c.count),
-        }
-    }
-
-    /// Resets to the initial configuration with a new seed.
-    ///
-    /// Resets states, scheduler and counters only — the executor stays
-    /// bound to whichever graph it currently borrows, so executors that
-    /// ran a fault plan with topology changes should be rebuilt rather
-    /// than reset (the Monte-Carlo harness does exactly that).
-    pub fn reset(&mut self, seed: u64) {
-        let n = self.graph.num_nodes() as usize;
-        self.ids.clear();
-        self.ids.extend_from_slice(&self.compiled.initial[..n]);
-        self.scheduler.reset(seed);
-        self.cursor = 0;
-        self.filled = 0;
-        self.applied = 0;
-        self.leaders = self
-            .ids
-            .iter()
-            .filter(|&&id| self.compiled.roles[id as usize] == Role::Leader)
-            .count() as i64;
-        if !self.linear {
-            self.oracle.recompute(
-                &self.compiled.protocol,
-                &self.compiled.typed_config(&self.ids),
-            );
-        }
-        if self.census.is_some() {
-            self.census = None;
-            self.enable_state_census();
-        }
-    }
-
-    // ---- fault-injection primitives (see `crate::faults`) ------------
-    //
-    // Mirrors of the generic executor's primitives. Topology changes
-    // invalidate the per-graph edge decoder, so every rebind rebuilds it
-    // for the new graph; the scheduler keeps its RNG stream. Rebinds
-    // require the pair buffer to be drained — which it always is after
-    // a `run_steps` call, since bounded runs never draw past their
-    // budget.
-
     /// Recomputes the derived leader/oracle state after a perturbation
-    /// (corruption or churn) that edited `ids` outside a transition.
-    fn resync_oracle(&mut self) {
-        self.leaders = self
-            .ids
-            .iter()
-            .filter(|&&id| self.compiled.roles[id as usize] == Role::Leader)
-            .count() as i64;
+    /// (corruption, churn or a loaded configuration) that edited `ids`
+    /// outside a transition.
+    fn resync(&mut self, table: &T) {
+        self.leaders = leaders_in(table, &self.ids) as i64;
         if !self.linear {
-            self.oracle.recompute(
-                &self.compiled.protocol,
-                &self.compiled.typed_config(&self.ids),
-            );
+            self.oracle
+                .recompute(table.protocol(), &typed_config(table, &self.ids));
         }
-    }
-
-    /// Rebinds scheduler and decoder to `graph` (states untouched).
-    fn rebind(&mut self, graph: &'a Graph) {
-        assert_eq!(
-            self.cursor, self.filled,
-            "pair buffer must be drained before a graph change"
-        );
-        self.graph = graph;
-        self.scheduler.set_graph(graph);
-        self.decoder = EdgeDecoder::for_graph(graph);
-    }
-
-    /// Rebinds the execution to a graph with the **same node count**
-    /// (edge additions/removals/rewirings), rebuilding the edge decoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node counts differ, the new graph has no edges, or
-    /// the pair buffer still holds drawn-but-unapplied pairs.
-    pub fn set_graph(&mut self, graph: &'a Graph) {
-        assert_eq!(
-            graph.num_nodes() as usize,
-            self.ids.len(),
-            "set_graph requires an equal node count (use join_node/leave_node)"
-        );
-        self.rebind(graph);
-    }
-
-    /// Rebinds to a graph with **one more node**: the new node is `n`
-    /// (the old node count) and starts in its initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` does not have exactly one extra node or the
-    /// protocol was compiled for fewer nodes than the new graph has.
-    pub fn join_node(&mut self, graph: &'a Graph) {
-        assert_eq!(
-            graph.num_nodes() as usize,
-            self.ids.len() + 1,
-            "join_node requires exactly one extra node"
-        );
-        assert!(
-            graph.num_nodes() <= self.compiled.num_nodes(),
-            "protocol was compiled for fewer nodes than the new graph has"
-        );
-        let id = self.compiled.initial[self.ids.len()];
-        if let Some(census) = &mut self.census {
-            census.mark(u32::from(id));
-        }
-        self.ids.push(id);
-        self.rebind(graph);
-        self.resync_oracle();
-    }
-
-    /// Rebinds to a graph with **one less node**: node `removed` leaves
-    /// and the last node (`n − 1`) is relabelled to `removed` — `graph`
-    /// must already use that relabelling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` does not have exactly one node less or
-    /// `removed` is out of range.
-    pub fn leave_node(&mut self, graph: &'a Graph, removed: NodeId) {
-        assert_eq!(
-            graph.num_nodes() as usize,
-            self.ids.len() - 1,
-            "leave_node requires exactly one node less"
-        );
-        self.ids.swap_remove(removed as usize);
-        self.rebind(graph);
-        self.resync_oracle();
-    }
-
-    /// State corruption: resets node `v` to its initial state (a crash
-    /// followed by a clean rejoin), leaving all other nodes untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn corrupt_to_initial(&mut self, v: NodeId) {
-        let id = self.compiled.initial[v as usize];
-        if let Some(census) = &mut self.census {
-            census.mark(u32::from(id));
-        }
-        self.ids[v as usize] = id;
-        self.resync_oracle();
-    }
-
-    /// Overwrites the whole configuration (an *arbitrary* start, in the
-    /// self-stabilization sense — see [`crate::stabilize`]); mirrors
-    /// [`crate::Executor::set_configuration`]. The scheduler's RNG
-    /// stream is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` differs from the node count, or if any
-    /// state is not in the compiled table — arbitrary-start tables must
-    /// be built with [`CompiledProtocol::compile_with_seeds`] over the
-    /// sampler's support.
-    pub fn set_configuration(&mut self, states: &[P::State]) {
-        assert_eq!(
-            states.len(),
-            self.ids.len(),
-            "configuration length must equal the node count"
-        );
-        for (slot, s) in self.ids.iter_mut().zip(states) {
-            let id = self
-                .compiled
-                .state_id(s)
-                .expect("arbitrary start state missing from the compiled table (compile_with_seeds over the sampler's support)");
-            *slot = id;
-        }
-        if let Some(census) = &mut self.census {
-            for &id in &self.ids {
-                census.mark(u32::from(id));
-            }
-        }
-        self.resync_oracle();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn scheduler_steps(&self) -> u64 {
-        self.scheduler.steps()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn decoder(&self) -> &EdgeDecoder {
-        &self.decoder
     }
 }
 
-/// Runs one execution of a protocol through a [`LazyTable`] — the
-/// lazily-compiling dense engine.
+/// Number of leader-output nodes among `ids` (O(n) scan of the role
+/// table).
+fn leaders_in<T: PairTable>(table: &T, ids: &[T::Id]) -> usize {
+    ids.iter()
+        .filter(|&&id| table.role(id) == Role::Leader)
+        .count()
+}
+
+/// Materializes the typed configuration corresponding to `ids`.
+fn typed_config<T: PairTable>(table: &T, ids: &[T::Id]) -> Vec<StateOf<T>> {
+    ids.iter().map(|&id| table.state(id).clone()).collect()
+}
+
+/// Runs one execution of a protocol on a [`Graph`] through a
+/// [`PairTable`] — the dense engine behind [`DenseExecutor`] and
+/// [`LazyDenseExecutor`].
 ///
-/// Drop-in counterpart of [`crate::Executor`] and [`DenseExecutor`]:
-/// identical scheduler and seed semantics, identical oracle behaviour
-/// and [`Outcome`]s. Instead of requiring the full reachable state space
-/// up front, it interns states on first sight into `u32` ids and
-/// memoizes pair successors on demand, so protocols whose state spaces
-/// overflow the ahead-of-time cap — the identifier protocol at realistic
-/// `k`, full-scale fast-protocol instances — still run on a dense-id hot
+/// Drop-in counterpart of [`crate::Executor`]: identical scheduler and
+/// seed semantics, identical oracle behaviour and [`Outcome`]s — only
+/// the per-interaction cost differs. The stability oracle is the
+/// protocol's own [`StabilityOracle`], driven with borrowed typed states
+/// from the table's id ↔ state mapping, and is skipped entirely for the
+/// (vastly most common, late in a run) no-op interactions — valid
+/// because oracle updates are pure count deltas, so an identity
+/// transition is always a no-op on the oracle too.
+pub struct TableExecutor<'a, T: PairTable> {
+    graph: &'a Graph,
+    table: T,
+    scheduler: EdgeScheduler<'a>,
+    config: Config<T>,
+    /// Pairs pre-drawn from the scheduler in a tight batch (see
+    /// [`EdgeDecoder::fill_batch`]); `pairs[cursor..filled]` are drawn
+    /// but not yet applied. `applied` — not the scheduler's draw count —
+    /// is the execution's step counter. Refills never draw past the step
+    /// budget of the run call they serve, so bounded runs
+    /// ([`TableExecutor::run_steps`]) consume the scheduler stream
+    /// exactly as far as the generic engine would — the property that
+    /// lets [`crate::faults`] interleave graph changes with execution on
+    /// all engines identically.
+    pairs: Box<[(NodeId, NodeId)]>,
+    raw: Box<[usize]>,
+    cursor: usize,
+    filled: usize,
+    applied: u64,
+    decoder: EdgeDecoder,
+    /// Reset snapshot: the initial configuration is seed-independent,
+    /// so the dense ids, the typed states feeding the oracle's
+    /// `recompute`, and the initial leader count are captured once and
+    /// replayed by [`Self::reset`] instead of rebuilt per reset
+    /// (`initial_typed` stays empty for linear oracles, which need no
+    /// recompute). Rebuilt lazily if node churn changed the population.
+    initial_ids: Vec<T::Id>,
+    initial_typed: Vec<StateOf<T>>,
+    initial_leaders: i64,
+}
+
+/// Runs one execution of a [`CompiledProtocol`] on a [`Graph`]: the
+/// [`TableExecutor`] over an ahead-of-time table.
+///
+/// The fastest engine: a hot loop of two id reads, one table load and
+/// two id writes, and on cliques a fused draw-decode-apply loop (with a
+/// branchless variant for unique-leader oracles over at most 256
+/// states). The table is borrowed, so one compilation serves every
+/// worker thread.
+pub type DenseExecutor<'a, P> = TableExecutor<'a, &'a CompiledProtocol<P>>;
+
+/// Runs one execution of a protocol through a [`LazyTable`] — the
+/// lazily-compiling dense engine, a [`TableExecutor`] over an owned,
+/// on-demand table.
+///
+/// Instead of requiring the full reachable state space up front, it
+/// interns states on first sight into `u32` ids and memoizes pair
+/// successors on demand, so protocols whose state spaces overflow the
+/// ahead-of-time cap — the identifier protocol at realistic `k`,
+/// full-scale fast-protocol instances — still run on a dense-id hot
 /// loop. See [`super::lazy`] for the caching machinery and
-/// [`crate::monte_carlo::run_trials_auto`] for the three-way engine
-/// selection.
+/// [`crate::monte_carlo::run_trials_auto`] for the engine selection.
 ///
 /// Unlike [`DenseExecutor`] the table is owned (the cache mutates during
-/// the run), so executors are per-thread; [`LazyDenseExecutor::reset`]
+/// the run), so executors are per-thread; [`TableExecutor::reset`]
 /// deliberately keeps the warm cache, which is how Monte-Carlo workers
 /// amortize it across trials.
 ///
@@ -741,36 +322,25 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
 /// let lazy = LazyDenseExecutor::new(&g, &GrainAbsorb, 7).run_until_stable(1 << 22).unwrap();
 /// assert_eq!(generic, lazy);
 /// ```
-pub struct LazyDenseExecutor<'a, P: Protocol> {
-    graph: &'a Graph,
-    table: LazyTable<P>,
-    scheduler: EdgeScheduler<'a>,
-    ids: Vec<LazyId>,
-    oracle: P::Oracle,
-    /// Same linear-oracle substitution as [`DenseExecutor`]: when the
-    /// oracle is exactly a unique-leader count, the engine maintains it
-    /// through the cached per-pair deltas.
-    linear: bool,
-    leaders: i64,
-    census: Option<DenseCensus>,
-    /// Batched draws, with the same never-past-the-budget discipline as
-    /// [`DenseExecutor`] (see its field docs) — the property that lets
-    /// [`crate::faults`] perturb all engines identically.
-    pairs: Box<[(NodeId, NodeId)]>,
-    raw: Box<[usize]>,
-    cursor: usize,
-    filled: usize,
-    applied: u64,
-    decoder: EdgeDecoder,
-    /// Reset snapshot: the initial configuration is seed-independent,
-    /// so the dense ids, the typed states feeding the oracle's
-    /// `recompute`, and the initial leader count are captured once and
-    /// replayed by [`Self::reset`] instead of re-interned per reset
-    /// (`initial_typed` stays empty for linear oracles, which need no
-    /// recompute). Rebuilt lazily if node churn changed the population.
-    initial_ids: Vec<LazyId>,
-    initial_typed: Vec<P::State>,
-    initial_leaders: i64,
+pub type LazyDenseExecutor<'a, P> = TableExecutor<'a, LazyTable<P>>;
+
+impl<'a, P: Protocol> DenseExecutor<'a, P> {
+    /// Creates an executor with every node in its initial state.
+    ///
+    /// The compiled node count may exceed the graph's: a compilation for
+    /// `n + k` nodes serves any graph with at most `n + k` nodes, which
+    /// is how fault plans with node churn ([`crate::faults`]) share one
+    /// table across all epochs. (The state enumeration for more nodes is
+    /// a superset, so the table still covers every reachable pair.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no edges or more nodes than the protocol
+    /// was compiled for.
+    #[must_use]
+    pub fn new(graph: &'a Graph, compiled: &'a CompiledProtocol<P>, seed: u64) -> Self {
+        Self::with_table(graph, compiled, seed)
+    }
 }
 
 impl<'a, P: Protocol + Clone> LazyDenseExecutor<'a, P> {
@@ -781,47 +351,69 @@ impl<'a, P: Protocol + Clone> LazyDenseExecutor<'a, P> {
     /// Panics if the graph has no edges.
     #[must_use]
     pub fn new(graph: &'a Graph, protocol: &P, seed: u64) -> Self {
-        let mut table = LazyTable::new(protocol, graph.num_nodes());
-        let ids: Vec<LazyId> = (0..graph.num_nodes())
-            .map(|v| table.initial_id(v))
-            .collect();
-        let mut oracle = protocol.oracle();
-        let linear = oracle.stable_iff_unique_leader();
-        let typed: Vec<P::State> = if linear {
-            Vec::new()
-        } else {
-            ids.iter().map(|&id| table.state(id).clone()).collect()
-        };
-        if !linear {
-            oracle.recompute(protocol, &typed);
+        Self::with_table(graph, LazyTable::new(protocol, graph.num_nodes()), seed)
+    }
+}
+
+impl<'a, T: PairTable> TableExecutor<'a, T> {
+    fn with_table(graph: &'a Graph, table: T, seed: u64) -> Self {
+        if let Some(cap) = table.max_nodes() {
+            assert!(
+                graph.num_nodes() <= cap,
+                "graph size does not match the compiled protocol"
+            );
         }
-        let leaders = ids
-            .iter()
-            .filter(|&&id| table.role(id) == Role::Leader)
-            .count() as i64;
-        Self {
+        let oracle = table.protocol().oracle();
+        let linear = oracle.stable_iff_unique_leader();
+        let mut exec = Self {
             graph,
             table,
             scheduler: EdgeScheduler::new(graph, seed),
-            initial_ids: ids.clone(),
-            initial_typed: typed,
-            initial_leaders: leaders,
-            ids,
-            oracle,
-            linear,
-            leaders,
-            census: None,
+            config: Config {
+                ids: Vec::new(),
+                oracle,
+                linear,
+                leaders: 0,
+                census: None,
+            },
             pairs: vec![(0, 0); PAIR_BATCH].into_boxed_slice(),
             raw: vec![0usize; PAIR_BATCH].into_boxed_slice(),
             cursor: 0,
             filled: 0,
             applied: 0,
             decoder: EdgeDecoder::for_graph(graph),
+            initial_ids: Vec::new(),
+            initial_typed: Vec::new(),
+            initial_leaders: 0,
+        };
+        exec.load_initial();
+        exec
+    }
+
+    /// Loads the initial configuration from the reset snapshot, first
+    /// rebuilding the snapshot if node churn changed the population since
+    /// it was taken.
+    fn load_initial(&mut self) {
+        let n = self.graph.num_nodes();
+        if self.initial_ids.len() != n as usize {
+            self.initial_ids = (0..n).map(|v| self.table.initial_id(v)).collect();
+            if !self.config.linear {
+                self.initial_typed = typed_config(&self.table, &self.initial_ids);
+            }
+            self.initial_leaders = leaders_in(&self.table, &self.initial_ids) as i64;
+        }
+        let config = &mut self.config;
+        config.ids.clone_from(&self.initial_ids);
+        config.leaders = self.initial_leaders;
+        if !config.linear {
+            config
+                .oracle
+                .recompute(self.table.protocol(), &self.initial_typed);
         }
     }
-}
 
-impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
+    /// Refills the pair buffer with one batch of up to `limit ≤
+    /// PAIR_BATCH` scheduler draws through the decoder.
     fn refill(&mut self, limit: usize) {
         self.decoder
             .fill_batch(&mut self.scheduler, &mut self.pairs[..limit], &mut self.raw);
@@ -832,10 +424,10 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// Enables the distinct-state census (O(1) per changed state).
     pub fn enable_state_census(&mut self) {
         let mut census = DenseCensus::new(self.table.num_states());
-        for &id in &self.ids {
-            census.mark(id);
+        for &id in &self.config.ids {
+            census.mark(id.into());
         }
-        self.census = Some(census);
+        self.config.census = Some(census);
     }
 
     /// The underlying graph.
@@ -844,17 +436,17 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         self.graph
     }
 
-    /// The lazily-built table (interner + pair cache) driving this
-    /// execution — exposed for capacity reporting and tests.
+    /// The pair table driving this execution — for a lazy executor the
+    /// interner and pair cache, exposed for capacity reporting and tests.
     #[must_use]
-    pub fn table(&self) -> &LazyTable<P> {
+    pub fn table(&self) -> &T {
         &self.table
     }
 
     /// Current configuration as dense ids.
     #[must_use]
-    pub fn state_ids(&self) -> &[LazyId] {
-        &self.ids
+    pub fn state_ids(&self) -> &[T::Id] {
+        &self.config.ids
     }
 
     /// Typed state of node `v`.
@@ -863,56 +455,18 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     ///
     /// Panics if `v` is out of range.
     #[must_use]
-    pub fn state_of(&self, v: NodeId) -> &P::State {
-        self.table.state(self.ids[v as usize])
+    pub fn state_of(&self, v: NodeId) -> &StateOf<T> {
+        self.table.state(self.config.ids[v as usize])
     }
 
-    /// Steps applied so far (the model's time step `t`; the scheduler
-    /// may have drawn up to one buffered batch further ahead).
+    /// Steps applied so far.
+    ///
+    /// The scheduler may have *drawn* up to one batch further ahead (the
+    /// undrawn pairs are buffered and will be applied next), so this is
+    /// the model's time step `t`, not the raw RNG draw count.
     #[must_use]
     pub fn steps(&self) -> u64 {
         self.applied
-    }
-
-    /// Looks up (or on first sight evaluates) the successor of the id
-    /// pair `(a, b)` together with the cache slot of the memoized effect
-    /// summary (fetched on demand via [`LazyTable::cached_effect`] only
-    /// when the pair changes state), splitting the borrows so the
-    /// table's miss path can consult the oracle.
-    #[inline]
-    fn successor(&mut self, a: LazyId, b: LazyId) -> (LazyId, LazyId, i8, usize) {
-        let oracle = &self.oracle;
-        self.table
-            .successor_tracked(a, b, |protocol, sa, sb, sna, snb| {
-                oracle.transition_effect(protocol, (sa, sb), (sna, snb))
-            })
-    }
-
-    /// Applies the ordered interaction `(u, v)` to the configuration.
-    #[inline]
-    fn apply_pair(&mut self, u: NodeId, v: NodeId) {
-        let (iu, iv) = (u as usize, v as usize);
-        let a = self.ids[iu];
-        let b = self.ids[iv];
-        let (na, nb, delta, slot) = self.successor(a, b);
-        if (na, nb) != (a, b) {
-            if self.linear {
-                self.leaders += i64::from(delta);
-            } else if !self.oracle.effect_inert(self.table.cached_effect(slot)) {
-                let states = &self.table.states;
-                self.oracle.apply(
-                    &self.table.protocol,
-                    (&states[a as usize], &states[b as usize]),
-                    (&states[na as usize], &states[nb as usize]),
-                );
-            }
-            if let Some(census) = &mut self.census {
-                census.mark(na);
-                census.mark(nb);
-            }
-            self.ids[iu] = na;
-            self.ids[iv] = nb;
-        }
     }
 
     /// Applies one interaction and returns the sampled `(initiator,
@@ -922,92 +476,113 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         if self.cursor == self.filled {
             self.refill(PAIR_BATCH);
         }
-        let (u, v) = self.pairs[self.cursor];
-        self.cursor += 1;
-        self.applied += 1;
-        self.apply_pair(u, v);
-        (u, v)
+        let pair = self.pairs[self.cursor];
+        self.apply_batch(1, Stop::Never);
+        pair
     }
 
     /// Applies up to `budget` already-buffered interactions in one tight
-    /// loop — after warm-up: two id reads, one (almost always one-probe)
-    /// cache lookup, two id writes per interaction, with oracle/census
-    /// work only on the rare state-changing pairs. For non-linear
-    /// oracles, the memoized effect summary skips the typed
-    /// [`StabilityOracle::apply`] — and the interner reads feeding it —
-    /// on changes the oracle vouches are inert: an inert application
-    /// changes no counter, so stability cannot flip and the stop check
-    /// is skipped along with it.
+    /// loop (the engine's hot path; see [`Config::apply`]).
+    ///
+    /// Returns right after the state change that satisfies `stop`. The
+    /// caller guarantees `budget ≤` the number of buffered pairs.
     fn apply_batch(&mut self, budget: usize, stop: Stop) {
         let start = self.cursor;
-        let end = start + budget;
-        // Split the borrows up front: iterating the drawn pairs as a
-        // slice (no per-step bounds check) with the table, oracle and
-        // ids borrowed disjointly keeps the loop invariants (`linear`,
-        // the slice bounds) in registers across the hot loop.
+        // Iterating the drawn pairs as a slice, with the table and the
+        // configuration borrowed disjointly, keeps the loop free of
+        // per-step bounds checks on the buffer.
         let Self {
             table,
-            oracle,
-            ids,
-            census,
+            config,
             pairs,
-            leaders,
-            linear,
             ..
         } = self;
-        let linear = *linear;
         let mut done = 0usize;
-        for &(u, v) in &pairs[start..end] {
+        for &(u, v) in &pairs[start..start + budget] {
             done += 1;
-            let (iu, iv) = (u as usize, v as usize);
-            let a = ids[iu];
-            let b = ids[iv];
-            let (na, nb, delta, slot) =
-                table.successor_tracked(a, b, |protocol, sa, sb, sna, snb| {
-                    oracle.transition_effect(protocol, (sa, sb), (sna, snb))
-                });
-            if (na, nb) != (a, b) {
-                let mut check_stop = true;
-                if linear {
-                    *leaders += i64::from(delta);
-                } else if oracle.effect_inert(table.cached_effect(slot)) {
-                    check_stop = false;
-                } else {
-                    let states = &table.states;
-                    oracle.apply(
-                        &table.protocol,
-                        (&states[a as usize], &states[b as usize]),
-                        (&states[na as usize], &states[nb as usize]),
-                    );
-                }
-                if let Some(census) = census.as_mut() {
-                    census.mark(na);
-                    census.mark(nb);
-                }
-                ids[iu] = na;
-                ids[iv] = nb;
-                if check_stop && !matches!(stop, Stop::Never) {
-                    let stable = if linear {
-                        *leaders == 1
-                    } else {
-                        oracle.is_stable()
-                    };
-                    if matches!(stop, Stop::Stable) == stable {
-                        break;
-                    }
-                }
+            if config.apply(table, u as usize, v as usize, stop) {
+                break;
             }
         }
         self.applied += done as u64;
         self.cursor = start + done;
     }
 
-    /// Applies up to `budget` interactions through buffered pairs,
-    /// refilling in decoder batches.
+    /// Fused runner for the computed-edge (clique) decoder: RNG draw,
+    /// arithmetic decode and table apply in one loop, with no pair
+    /// buffer in between. The RNG state and the configuration are
+    /// independent dependency chains, so the processor overlaps them;
+    /// this is the engine's fastest path. Requires the pair buffer to
+    /// be drained and applies at most `budget` interactions, returning
+    /// early (right after the causing change) once the oracle satisfies
+    /// `stop`.
+    fn run_fused_clique(&mut self, budget: u64, stop: Stop) {
+        debug_assert_eq!(self.cursor, self.filled, "pair buffer must be drained");
+        let Self {
+            table,
+            scheduler,
+            config,
+            decoder,
+            ..
+        } = self;
+        let EdgeDecoder::Clique { n, shift, row_hint } = decoder else {
+            unreachable!("fused path requires the clique decoder")
+        };
+        let n = *n as u32;
+        let shift = *shift;
+        let mut done = 0u64;
+        match table.fused() {
+            Some(fused) if config.linear && config.census.is_none() => {
+                // Branchless variant: writing back unchanged ids and
+                // adding a zero leader delta are no-ops, so the
+                // data-dependent "did this pair change state?" branch —
+                // mispredicted constantly mid-election — disappears
+                // entirely, and one load of the fused table serves
+                // successors and delta alike.
+                let ids = &mut config.ids;
+                while done < budget {
+                    let r = scheduler.next_raw();
+                    done += 1;
+                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
+                    let (iu, iv) = orient(u, v, r);
+                    let (iu, iv) = (iu as usize, iv as usize);
+                    let a: u32 = ids[iu].into();
+                    let b: u32 = ids[iv].into();
+                    let entry = fused[((a as usize) << 8) | b as usize];
+                    ids[iu] = T::Id::from((entry >> 8) as u8);
+                    ids[iv] = T::Id::from(entry as u8);
+                    config.leaders += i64::from(entry >> 16) - 2;
+                    match stop {
+                        Stop::Stable if config.leaders == 1 => break,
+                        Stop::Unstable if config.leaders != 1 => break,
+                        _ => {}
+                    }
+                }
+            }
+            _ => {
+                while done < budget {
+                    let r = scheduler.next_raw();
+                    done += 1;
+                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
+                    let (iu, iv) = orient(u, v, r);
+                    if config.apply(table, iu as usize, iv as usize, stop) {
+                        break;
+                    }
+                }
+            }
+        }
+        self.applied += done;
+    }
+
+    /// Applies up to `budget` interactions through buffered pairs (for
+    /// already-drawn pairs and the gather decoders) or, on tables with
+    /// [`PairTable::FUSED_CLIQUE`], the fused clique path.
     fn run_budget(&mut self, budget: u64, stop: Stop) {
         if self.cursor < self.filled {
             let avail = (self.filled - self.cursor) as u64;
             self.apply_batch(avail.min(budget) as usize, stop);
+        } else if T::FUSED_CLIQUE && matches!(self.decoder, EdgeDecoder::Clique { .. }) {
+            self.run_fused_clique(budget, stop);
         } else {
             let limit = budget.min(PAIR_BATCH as u64) as usize;
             self.refill(limit);
@@ -1015,8 +590,11 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         }
     }
 
-    /// Runs exactly `k` interactions without drawing the scheduler
-    /// stream past them (same contract as [`DenseExecutor::run_steps`]).
+    /// Runs exactly `k` interactions, consuming the scheduler stream
+    /// exactly `k` draws past the buffered pairs — never further — so
+    /// after the buffer drains, the RNG position matches the generic
+    /// engine's at the same step (the alignment [`crate::faults`] relies
+    /// on to perturb all engines identically).
     pub fn run_steps(&mut self, k: u64) {
         let mut remaining = k;
         while remaining > 0 {
@@ -1034,7 +612,7 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// Returns [`NotStabilized`] if `max_steps` interactions pass without
     /// stabilization.
     pub fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
-        while !self.stable_now() {
+        while !self.config.stable_now() {
             if self.applied >= max_steps {
                 return Err(NotStabilized { max_steps });
             }
@@ -1049,7 +627,7 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// it). Returns the violation step, or `None` if `max_steps` total
     /// interactions passed with stability intact.
     pub fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
-        while self.stable_now() {
+        while self.config.stable_now() {
             if self.applied >= max_steps {
                 return None;
             }
@@ -1058,36 +636,24 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         Some(self.applied)
     }
 
-    #[inline]
-    fn stable_now(&self) -> bool {
-        if self.linear {
-            self.leaders == 1
-        } else {
-            self.oracle.is_stable()
-        }
-    }
-
     /// Whether the oracle currently reports stability.
     #[must_use]
     pub fn is_stable(&self) -> bool {
-        self.stable_now()
+        self.config.stable_now()
     }
 
     /// Current number of leader-output nodes (O(n) scan of the role
-    /// memo).
+    /// table).
     #[must_use]
     pub fn leader_count(&self) -> usize {
-        self.ids
-            .iter()
-            .filter(|&&id| self.table.role(id) == Role::Leader)
-            .count()
+        leaders_in(&self.table, &self.config.ids)
     }
 
     /// The unique leader if exactly one node outputs leader.
     #[must_use]
     pub fn leader(&self) -> Option<NodeId> {
         let mut found = None;
-        for (v, &id) in self.ids.iter().enumerate() {
+        for (v, &id) in self.config.ids.iter().enumerate() {
             if self.table.role(id) == Role::Leader {
                 if found.is_some() {
                     return None;
@@ -1105,81 +671,40 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
             stabilization_step: self.steps(),
             leader_count: self.leader_count(),
             leader: self.leader(),
-            distinct_states: self.census.as_ref().map(|c| c.count),
+            distinct_states: self.config.census.as_ref().map(|c| c.count),
         }
     }
 
-    /// Resets to the initial configuration with a new seed, **keeping**
-    /// the interner and pair cache warm — a reset is behaviourally
-    /// equivalent to fresh construction (the cache only changes speed,
-    /// never the trace), and cache reuse across trials is where the lazy
-    /// engine's Monte-Carlo throughput comes from.
+    /// Resets to the initial configuration with a new seed, keeping the
+    /// table — for a lazy executor the interner and pair cache stay warm.
+    /// A reset is behaviourally equivalent to fresh construction on the
+    /// current graph (the cache only changes speed, never the trace), and
+    /// cache reuse across trials is where the lazy engine's Monte-Carlo
+    /// throughput comes from.
     ///
-    /// As with [`DenseExecutor::reset`], the executor stays bound to its
-    /// current graph; fault-plan runs with topology changes rebuild
-    /// executors instead.
+    /// The executor stays bound to whichever graph it currently borrows,
+    /// so executors that ran a fault plan with topology changes should be
+    /// rebuilt rather than reset (the Monte-Carlo harness does exactly
+    /// that).
     pub fn reset(&mut self, seed: u64) {
-        let n = self.graph.num_nodes();
-        if self.initial_ids.len() != n as usize {
-            // Node churn changed the population since the snapshot was
-            // taken; rebuild it for the current node count.
-            self.initial_ids.clear();
-            for v in 0..n {
-                let id = self.table.initial_id(v);
-                self.initial_ids.push(id);
-            }
-            if !self.linear {
-                self.initial_typed = self
-                    .initial_ids
-                    .iter()
-                    .map(|&id| self.table.state(id).clone())
-                    .collect();
-            }
-            self.initial_leaders = self
-                .initial_ids
-                .iter()
-                .filter(|&&id| self.table.role(id) == Role::Leader)
-                .count() as i64;
-        }
-        self.ids.clone_from(&self.initial_ids);
-        self.leaders = self.initial_leaders;
-        if !self.linear {
-            self.oracle
-                .recompute(&self.table.protocol, &self.initial_typed);
-        }
+        self.load_initial();
         self.scheduler.reset(seed);
         self.cursor = 0;
         self.filled = 0;
         self.applied = 0;
-        if self.census.is_some() {
-            self.census = None;
+        if self.config.census.is_some() {
             self.enable_state_census();
         }
     }
 
     // ---- fault-injection primitives (see `crate::faults`) ------------
     //
-    // Mirrors of the dense executor's primitives; the lazy engine needs
-    // no compiled-size guard on joins — the new node's initial state is
-    // interned on demand.
-
-    /// Recomputes the derived leader/oracle state after a perturbation
-    /// (corruption or churn) that edited `ids` outside a transition.
-    fn resync_oracle(&mut self) {
-        self.leaders = self
-            .ids
-            .iter()
-            .filter(|&&id| self.table.role(id) == Role::Leader)
-            .count() as i64;
-        if !self.linear {
-            let typed: Vec<P::State> = self
-                .ids
-                .iter()
-                .map(|&id| self.table.state(id).clone())
-                .collect();
-            self.oracle.recompute(&self.table.protocol, &typed);
-        }
-    }
+    // Mirrors of the generic executor's primitives. Topology changes
+    // invalidate the per-graph edge decoder, so every rebind rebuilds it
+    // for the new graph; the scheduler keeps its RNG stream. Rebinds
+    // require the pair buffer to be drained — which it always is after
+    // a `run_steps` call, since bounded runs never draw past their
+    // budget.
 
     /// Rebinds scheduler and decoder to `graph` (states untouched).
     fn rebind(&mut self, graph: &'a Graph) {
@@ -1202,32 +727,40 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     pub fn set_graph(&mut self, graph: &'a Graph) {
         assert_eq!(
             graph.num_nodes() as usize,
-            self.ids.len(),
+            self.config.ids.len(),
             "set_graph requires an equal node count (use join_node/leave_node)"
         );
         self.rebind(graph);
     }
 
     /// Rebinds to a graph with **one more node**: the new node is `n`
-    /// (the old node count) and starts in its initial state (interned on
-    /// demand — no pre-sized table to outgrow).
+    /// (the old node count) and starts in its initial state (a lazy
+    /// table interns it on demand, so only ahead-of-time tables have a
+    /// size to outgrow).
     ///
     /// # Panics
     ///
-    /// Panics if `graph` does not have exactly one extra node.
+    /// Panics if `graph` does not have exactly one extra node or the
+    /// protocol was compiled for fewer nodes than the new graph has.
     pub fn join_node(&mut self, graph: &'a Graph) {
         assert_eq!(
             graph.num_nodes() as usize,
-            self.ids.len() + 1,
+            self.config.ids.len() + 1,
             "join_node requires exactly one extra node"
         );
-        let id = self.table.initial_id(self.ids.len() as u32);
-        if let Some(census) = &mut self.census {
-            census.mark(id);
+        if let Some(cap) = self.table.max_nodes() {
+            assert!(
+                graph.num_nodes() <= cap,
+                "protocol was compiled for fewer nodes than the new graph has"
+            );
         }
-        self.ids.push(id);
+        let id = self.table.initial_id(self.config.ids.len() as NodeId);
+        if let Some(census) = &mut self.config.census {
+            census.mark(id.into());
+        }
+        self.config.ids.push(id);
         self.rebind(graph);
-        self.resync_oracle();
+        self.config.resync(&self.table);
     }
 
     /// Rebinds to a graph with **one less node**: node `removed` leaves
@@ -1241,12 +774,12 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     pub fn leave_node(&mut self, graph: &'a Graph, removed: NodeId) {
         assert_eq!(
             graph.num_nodes() as usize,
-            self.ids.len() - 1,
+            self.config.ids.len() - 1,
             "leave_node requires exactly one node less"
         );
-        self.ids.swap_remove(removed as usize);
+        self.config.ids.swap_remove(removed as usize);
         self.rebind(graph);
-        self.resync_oracle();
+        self.config.resync(&self.table);
     }
 
     /// State corruption: resets node `v` to its initial state (a crash
@@ -1257,42 +790,52 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// Panics if `v` is out of range.
     pub fn corrupt_to_initial(&mut self, v: NodeId) {
         let id = self.table.initial_id(v);
-        if let Some(census) = &mut self.census {
-            census.mark(id);
+        if let Some(census) = &mut self.config.census {
+            census.mark(id.into());
         }
-        self.ids[v as usize] = id;
-        self.resync_oracle();
+        self.config.ids[v as usize] = id;
+        self.config.resync(&self.table);
     }
 
     /// Overwrites the whole configuration (an *arbitrary* start, in the
     /// self-stabilization sense — see [`crate::stabilize`]); mirrors
-    /// [`crate::Executor::set_configuration`]. Never-seen states are
-    /// interned on the spot — the lazy engine needs no pre-computed
-    /// closure over the sampler's support. The scheduler's RNG stream is
+    /// [`crate::Executor::set_configuration`]. A lazy table interns
+    /// never-seen states on the spot — it needs no pre-computed closure
+    /// over the sampler's support. The scheduler's RNG stream is
     /// untouched.
     ///
     /// # Panics
     ///
-    /// Panics if `states.len()` differs from the node count.
-    pub fn set_configuration(&mut self, states: &[P::State]) {
+    /// Panics if `states.len()` differs from the node count, or, on an
+    /// ahead-of-time table, if any state is not in the compiled table —
+    /// arbitrary-start tables must be built with
+    /// [`CompiledProtocol::compile_with_seeds`] over the sampler's
+    /// support.
+    pub fn set_configuration(&mut self, states: &[StateOf<T>]) {
         assert_eq!(
             states.len(),
-            self.ids.len(),
+            self.config.ids.len(),
             "configuration length must equal the node count"
         );
-        for (v, s) in states.iter().enumerate() {
-            let id = self.table.intern(s);
-            if let Some(census) = &mut self.census {
-                census.mark(id);
-            }
-            self.ids[v] = id;
+        for (slot, s) in self.config.ids.iter_mut().zip(states) {
+            *slot = self.table.id_of(s);
         }
-        self.resync_oracle();
+        if let Some(census) = &mut self.config.census {
+            for &id in &self.config.ids {
+                census.mark(id.into());
+            }
+        }
+        self.config.resync(&self.table);
     }
 
     #[cfg(test)]
     pub(crate) fn scheduler_steps(&self) -> u64 {
         self.scheduler.steps()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn decoder(&self) -> &EdgeDecoder {
+        &self.decoder
     }
 }
 
@@ -1301,42 +844,8 @@ mod tests {
     use super::super::decoder::DecoderKind;
     use super::*;
     use crate::executor::Executor;
-    use crate::protocol::LeaderCountOracle;
+    use crate::testkit::Absorb;
     use popele_graph::families;
-
-    /// Initiator absorbs the responder's leadership (stabilizes on
-    /// cliques).
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-    }
 
     #[test]
     fn dense_matches_generic_trace() {

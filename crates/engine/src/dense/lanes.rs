@@ -1145,41 +1145,8 @@ mod tests {
     use super::*;
     use crate::dense::DenseExecutor;
     use crate::protocol::LeaderCountOracle;
+    use crate::testkit::Absorb;
     use popele_graph::families;
-
-    /// Initiator absorbs the responder's leadership (stabilizes on
-    /// cliques).
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-    }
 
     fn scalar_outcome(
         g: &Graph,

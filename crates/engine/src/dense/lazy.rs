@@ -24,7 +24,8 @@
 //! Monte-Carlo harness reuses one executor (and thus one warm cache) per
 //! worker thread.
 
-use crate::protocol::{Protocol, Role, EFFECT_OPAQUE};
+use super::exec::PairTable;
+use crate::protocol::{Protocol, Role, StabilityOracle, EFFECT_OPAQUE};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -448,44 +449,76 @@ impl<P: Protocol> LazyTable<P> {
     }
 }
 
+/// The lazily-built table behind [`crate::LazyDenseExecutor`]: owned by
+/// its executor and grown on first sight. The effect handle carries the
+/// cached leader delta and the cache slot of the oracle's effect
+/// summary, fetched on demand only for state-changing pairs.
+impl<P: Protocol> PairTable for LazyTable<P> {
+    type Protocol = P;
+    type Id = LazyId;
+    type Effect = (i8, usize);
+    const FUSED_CLIQUE: bool = false;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn initial_id(&mut self, v: u32) -> LazyId {
+        LazyTable::initial_id(self, v)
+    }
+
+    #[inline]
+    fn lookup(
+        &mut self,
+        a: LazyId,
+        b: LazyId,
+        oracle: &P::Oracle,
+    ) -> Option<(LazyId, LazyId, (i8, usize))> {
+        let (na, nb, delta, slot) = self.successor_tracked(a, b, |protocol, sa, sb, sna, snb| {
+            oracle.transition_effect(protocol, (sa, sb), (sna, snb))
+        });
+        ((na, nb) != (a, b)).then_some((na, nb, (delta, slot)))
+    }
+
+    #[inline]
+    fn leader_delta(&self, (delta, _): (i8, usize)) -> i8 {
+        delta
+    }
+
+    #[inline]
+    fn effect_inert(&self, oracle: &P::Oracle, (_, slot): (i8, usize)) -> bool {
+        oracle.effect_inert(self.cached_effect(slot))
+    }
+
+    #[inline]
+    fn role(&self, id: LazyId) -> Role {
+        self.roles[id as usize]
+    }
+
+    #[inline]
+    fn state(&self, id: LazyId) -> &P::State {
+        &self.states[id as usize]
+    }
+
+    fn id_of(&mut self, state: &P::State) -> LazyId {
+        self.intern(state)
+    }
+
+    fn max_nodes(&self) -> Option<u32> {
+        None
+    }
+
+    fn num_states(&self) -> usize {
+        self.states.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::LeaderCountOracle;
+    use crate::testkit::Absorb;
     use popele_graph::NodeId;
-
-    /// Initiator absorbs the responder's leadership.
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-    }
 
     #[test]
     fn successors_match_the_typed_transition_and_memoize() {

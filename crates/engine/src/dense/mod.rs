@@ -18,14 +18,17 @@
 //!   whose state spaces overflow the ahead-of-time cap — the identifier
 //!   protocol at realistic `k` (Theorem 21), full-scale fast-protocol
 //!   instances (Theorem 24) — at a hot-loop cost of one extra hash.
-//! * [`decoder`] — the edge decoders and batched draw machinery both
-//!   engines share: raw scheduler indices are resolved into node pairs
+//! * [`decoder`] — the edge decoders and batched draw machinery the
+//!   per-agent dense engines share: raw scheduler indices are resolved into node pairs
 //!   through shape-specialized decoders (arithmetic clique decode,
 //!   16-bit packed lists, CSR split form) without ever deviating from
 //!   the scheduler's interaction sequence.
-//! * [`exec`] — the executors ([`DenseExecutor`], [`LazyDenseExecutor`])
-//!   mirroring [`crate::Executor`] exactly: same scheduler, same seed
-//!   handling, same oracle semantics, same [`crate::Outcome`]s.
+//! * [`exec`] — the executor, written once: [`TableExecutor`] runs over
+//!   the [`PairTable`] trait both tables implement, and
+//!   [`DenseExecutor`] / [`LazyDenseExecutor`] are its two
+//!   instantiations. It mirrors [`crate::Executor`] exactly: same
+//!   scheduler, same seed handling, same oracle semantics, same
+//!   [`crate::Outcome`]s.
 //! * [`lanes`] — the **lane-parallel** executor
 //!   ([`LaneDenseExecutor`]): 8–16 trials of one compiled cell stepped
 //!   in lockstep over structure-of-arrays state, one RNG stream per
@@ -59,7 +62,7 @@ pub use count::{
     compile_for_count, count_supported, CountEngine, COUNT_MAX_COMPILED_STATES, COUNT_MIN_AGENTS,
 };
 pub use decoder::{DecoderKind, DECODER_MAX_EDGES, PACKED_MAX_NODES};
-pub use exec::{DenseExecutor, LazyDenseExecutor};
+pub use exec::{DenseExecutor, LazyDenseExecutor, PairTable, TableExecutor};
 pub use lanes::{LaneDenseExecutor, LaneOutcome, LANE_BLOCK, MAX_LANES};
 pub use lazy::{LazyId, LazyTable};
 pub use table::{

@@ -30,6 +30,7 @@
 //! [`crate::monte_carlo::run_trials_auto`] automates exactly this
 //! decision.
 
+use super::exec::PairTable;
 use crate::protocol::{Protocol, Role};
 use popele_graph::NodeId;
 use std::collections::HashMap;
@@ -421,7 +422,7 @@ impl<P: Protocol + Clone> CompiledProtocol<P> {
     /// [`crate::stabilize::ArbitraryInit`] sampler). The resulting table
     /// covers every pair an arbitrarily-initialized execution can
     /// sample, which is what lets
-    /// [`crate::stabilize::run_trials_stabilize_dense`] run
+    /// [`crate::stabilize::run_trials_stabilize_auto`] run
     /// self-stabilization workloads on the ahead-of-time engine.
     ///
     /// # Errors
@@ -578,43 +579,85 @@ impl<P: Protocol> CompiledProtocol<P> {
     }
 }
 
+/// The ahead-of-time table behind [`crate::DenseExecutor`]: a borrowed
+/// compilation, so every worker thread shares one. Lookups are one load
+/// from the `|Λ|²` table; the effect handle is the entry's index, from
+/// which the leader delta is read only for state-changing pairs.
+impl<P: Protocol> PairTable for &CompiledProtocol<P> {
+    type Protocol = P;
+    type Id = StateId;
+    type Effect = usize;
+    const FUSED_CLIQUE: bool = true;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn initial_id(&mut self, v: NodeId) -> StateId {
+        self.initial[v as usize]
+    }
+
+    #[inline]
+    fn lookup(
+        &mut self,
+        a: StateId,
+        b: StateId,
+        _: &P::Oracle,
+    ) -> Option<(StateId, StateId, usize)> {
+        let idx = a as usize * self.states.len() + b as usize;
+        let packed = self.table[idx];
+        (packed != ((u32::from(a) << 16) | u32::from(b))).then_some((
+            (packed >> 16) as StateId,
+            packed as StateId,
+            idx,
+        ))
+    }
+
+    #[inline]
+    fn leader_delta(&self, idx: usize) -> i8 {
+        self.leader_delta[idx]
+    }
+
+    #[inline]
+    fn effect_inert(&self, _: &P::Oracle, _: usize) -> bool {
+        false
+    }
+
+    #[inline]
+    fn role(&self, id: StateId) -> Role {
+        self.roles[id as usize]
+    }
+
+    #[inline]
+    fn state(&self, id: StateId) -> &P::State {
+        &self.states[id as usize]
+    }
+
+    fn id_of(&mut self, state: &P::State) -> StateId {
+        self.ids.get(state).copied().expect(
+            "arbitrary start state missing from the compiled table \
+             (compile_with_seeds over the sampler's support)",
+        )
+    }
+
+    fn max_nodes(&self) -> Option<u32> {
+        Some(self.num_nodes)
+    }
+
+    fn num_states(&self) -> usize {
+        self.states.len()
+    }
+
+    fn fused(&self) -> Option<&[u32]> {
+        self.fused.as_deref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::LeaderCountOracle;
-
-    /// Initiator absorbs the responder's leadership.
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-    }
+    use crate::testkit::Absorb;
 
     /// A protocol with an unbounded (counter) state space: compilation
     /// must bail out at the cap.

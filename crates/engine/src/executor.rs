@@ -339,45 +339,8 @@ impl<'a, P: Protocol> Executor<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::LeaderCountOracle;
+    use crate::testkit::Absorb;
     use popele_graph::families;
-
-    /// Initiator absorbs the responder's leadership.
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-
-        fn state_space_bound(&self) -> Option<u64> {
-            Some(2)
-        }
-    }
 
     #[test]
     fn absorb_stabilizes_on_clique() {

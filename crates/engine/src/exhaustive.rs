@@ -269,40 +269,9 @@ pub fn validate_oracle_on_execution_compiled<P: Protocol>(
 mod tests {
     use super::*;
     use crate::protocol::LeaderCountOracle;
+    use crate::testkit::Absorb;
     use popele_graph::families;
     use popele_graph::NodeId;
-
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-    }
 
     /// A deliberately broken protocol: a lone leader can be *revived* by a
     /// follower-follower interaction, so one-leader configurations are NOT

@@ -26,8 +26,8 @@
 //! Fault-injected runs keep every guarantee of fault-free ones:
 //!
 //! * an **empty plan is trace-identical** to a plain
-//!   [`Executor::run_until_stable`] / [`DenseExecutor`] run (the session
-//!   adds no RNG draws and no extra scheduler activity);
+//!   [`Executor::run_until_stable`] / [`crate::DenseExecutor`] run (the
+//!   session adds no RNG draws and no extra scheduler activity);
 //! * the **generic, compiled and lazy engines produce identical
 //!   results** under any plan: the scheduler's RNG stream continues
 //!   across graph changes ([`crate::EdgeScheduler::set_graph`]), bounded
@@ -92,7 +92,7 @@
 //! );
 //! ```
 
-use crate::dense::{DenseExecutor, LazyDenseExecutor};
+use crate::dense::{PairTable, TableExecutor};
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::protocol::Protocol;
 use popele_graph::properties::is_connected;
@@ -493,10 +493,12 @@ pub struct ResolvedFaultPlan {
     pub skipped: usize,
 }
 
-/// The executor surface the fault session drives — implemented by
-/// [`Executor`], [`DenseExecutor`] and [`LazyDenseExecutor`], which is
+/// The executor surface the fault session drives — implemented by the
+/// generic [`Executor`] and by [`TableExecutor`] (so by both
+/// [`crate::DenseExecutor`] and [`crate::LazyDenseExecutor`]), which is
 /// what makes fault injection engine-agnostic (and lets the differential
-/// tests pin all engines to identical faulted runs).
+/// tests pin all engines to identical faulted runs). Each method
+/// delegates to the executor's inherent method of the same name.
 pub trait FaultTarget<'g> {
     /// Steps applied so far.
     fn steps(&self) -> u64;
@@ -529,49 +531,71 @@ pub trait FaultTarget<'g> {
     fn leave_node(&mut self, graph: &'g Graph, removed: NodeId);
 }
 
-/// Implements [`FaultTarget`] by delegating every method to the
-/// executor's inherent method of the same name. The engines expose
-/// identical fault-primitive surfaces by design; one definition serves
-/// all three, and a new trait method fails to compile until every
-/// engine grows the matching inherent counterpart.
-macro_rules! impl_fault_target {
-    ($($exec:ident),+ $(,)?) => {$(
-        impl<'g, P: Protocol> FaultTarget<'g> for $exec<'g, P> {
-            fn steps(&self) -> u64 {
-                $exec::steps(self)
-            }
-            fn run_steps(&mut self, k: u64) {
-                $exec::run_steps(self, k);
-            }
-            fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
-                $exec::run_until_stable(self, max_steps)
-            }
-            fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
-                $exec::run_while_stable(self, max_steps)
-            }
-            fn outcome(&self) -> Outcome {
-                $exec::outcome(self)
-            }
-            fn leader_count(&self) -> usize {
-                $exec::leader_count(self)
-            }
-            fn corrupt_to_initial(&mut self, v: NodeId) {
-                $exec::corrupt_to_initial(self, v);
-            }
-            fn set_graph(&mut self, graph: &'g Graph) {
-                $exec::set_graph(self, graph);
-            }
-            fn join_node(&mut self, graph: &'g Graph) {
-                $exec::join_node(self, graph);
-            }
-            fn leave_node(&mut self, graph: &'g Graph, removed: NodeId) {
-                $exec::leave_node(self, graph, removed);
-            }
-        }
-    )+};
+impl<'g, P: Protocol> FaultTarget<'g> for Executor<'g, P> {
+    fn steps(&self) -> u64 {
+        Executor::steps(self)
+    }
+    fn run_steps(&mut self, k: u64) {
+        Executor::run_steps(self, k);
+    }
+    fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
+        Executor::run_until_stable(self, max_steps)
+    }
+    fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
+        Executor::run_while_stable(self, max_steps)
+    }
+    fn outcome(&self) -> Outcome {
+        Executor::outcome(self)
+    }
+    fn leader_count(&self) -> usize {
+        Executor::leader_count(self)
+    }
+    fn corrupt_to_initial(&mut self, v: NodeId) {
+        Executor::corrupt_to_initial(self, v);
+    }
+    fn set_graph(&mut self, graph: &'g Graph) {
+        Executor::set_graph(self, graph);
+    }
+    fn join_node(&mut self, graph: &'g Graph) {
+        Executor::join_node(self, graph);
+    }
+    fn leave_node(&mut self, graph: &'g Graph, removed: NodeId) {
+        Executor::leave_node(self, graph, removed);
+    }
 }
 
-impl_fault_target!(Executor, DenseExecutor, LazyDenseExecutor);
+impl<'g, T: PairTable> FaultTarget<'g> for TableExecutor<'g, T> {
+    fn steps(&self) -> u64 {
+        TableExecutor::steps(self)
+    }
+    fn run_steps(&mut self, k: u64) {
+        TableExecutor::run_steps(self, k);
+    }
+    fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
+        TableExecutor::run_until_stable(self, max_steps)
+    }
+    fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
+        TableExecutor::run_while_stable(self, max_steps)
+    }
+    fn outcome(&self) -> Outcome {
+        TableExecutor::outcome(self)
+    }
+    fn leader_count(&self) -> usize {
+        TableExecutor::leader_count(self)
+    }
+    fn corrupt_to_initial(&mut self, v: NodeId) {
+        TableExecutor::corrupt_to_initial(self, v);
+    }
+    fn set_graph(&mut self, graph: &'g Graph) {
+        TableExecutor::set_graph(self, graph);
+    }
+    fn join_node(&mut self, graph: &'g Graph) {
+        TableExecutor::join_node(self, graph);
+    }
+    fn leave_node(&mut self, graph: &'g Graph, removed: NodeId) {
+        TableExecutor::leave_node(self, graph, removed);
+    }
+}
 
 /// Leader count observed right after a fault was applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -733,41 +757,52 @@ pub(crate) fn drive_ops<'g, T: FaultTarget<'g>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::CompiledProtocol;
-    use crate::protocol::{LeaderCountOracle, Role};
+    use crate::dense::{CompiledProtocol, DenseExecutor, LazyDenseExecutor};
+    use crate::monte_carlo::TrialExecutor;
+    use crate::protocol::{LeaderCountOracle, Role, StabilityOracle};
+    use crate::testkit::Absorb;
     use popele_graph::families;
 
-    /// Initiator absorbs the responder's leadership (stabilizes on
-    /// cliques).
+    /// [`Absorb`] behind an oracle that does not declare itself a plain
+    /// leader count, so the dense executors drive the typed oracle (and
+    /// keep typed states in their reset snapshots).
     #[derive(Clone, Copy)]
-    struct Absorb;
+    struct TypedAbsorb;
 
-    impl Protocol for Absorb {
+    struct TypedOracle(LeaderCountOracle);
+
+    impl StabilityOracle<TypedAbsorb> for TypedOracle {
+        fn recompute(&mut self, protocol: &TypedAbsorb, config: &[bool]) {
+            self.0.recompute(protocol, config);
+        }
+
+        fn apply(&mut self, protocol: &TypedAbsorb, old: (&bool, &bool), new: (&bool, &bool)) {
+            self.0.apply(protocol, old, new);
+        }
+
+        fn is_stable(&self) -> bool {
+            StabilityOracle::<TypedAbsorb>::is_stable(&self.0)
+        }
+    }
+
+    impl Protocol for TypedAbsorb {
         type State = bool;
-        type Oracle = LeaderCountOracle;
+        type Oracle = TypedOracle;
 
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
+        fn initial_state(&self, node: NodeId) -> bool {
+            Absorb.initial_state(node)
         }
 
         fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
+            Absorb.transition(a, b)
         }
 
         fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
+            Absorb.output(s)
         }
 
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
+        fn oracle(&self) -> TypedOracle {
+            TypedOracle(LeaderCountOracle::new())
         }
     }
 
@@ -909,5 +944,74 @@ mod tests {
         assert_eq!(generic_report.result, lazy_report.result);
         assert_eq!(generic_report.trajectory, lazy_report.trajectory);
         assert_eq!(generic_report.recovery, lazy_report.recovery);
+    }
+
+    /// Drives `churned` through `resolved`, resets it with seed 9 and
+    /// checks it against `fresh`, built on the plan's final graph with
+    /// seed 9, step for step.
+    fn assert_reset_equals_fresh<'g, P: Protocol, E: TrialExecutor<'g, P>>(
+        mut churned: E,
+        mut fresh: E,
+        resolved: &'g ResolvedFaultPlan,
+    ) {
+        churned.enable_state_census();
+        fresh.enable_state_census();
+        run_with_faults(&mut churned, resolved, 1_000);
+        churned.reset(9);
+        for k in [0, 1, 255, 2_000] {
+            churned.run_steps(k);
+            fresh.run_steps(k);
+            assert_eq!(churned.outcome(), fresh.outcome(), "after {k} more steps");
+        }
+    }
+
+    #[test]
+    fn reset_after_churn_equals_fresh_executor() {
+        // Join, leave, join: the population ends one node larger, so a
+        // dense executor's reset snapshot must be rebuilt for the
+        // current graph.
+        let g = families::cycle(12);
+        let plan = FaultPlan::at(100, FaultKind::JoinNode { degree: 2 })
+            .and(200, FaultKind::LeaveNode)
+            .and(300, FaultKind::JoinNode { degree: 3 });
+        let resolved = plan.resolve(&g, fault_seed(5));
+        assert_eq!(resolved.ops.len(), 3);
+        let last = resolved.epochs.last().unwrap();
+        assert_eq!(last.num_nodes(), 13);
+        let max_nodes = 12 + plan.max_joins();
+
+        assert_reset_equals_fresh(
+            Executor::new(&g, &Absorb, 5),
+            Executor::new(last, &Absorb, 9),
+            &resolved,
+        );
+        let compiled = CompiledProtocol::compile_default(&Absorb, max_nodes).unwrap();
+        assert_reset_equals_fresh(
+            DenseExecutor::new(&g, &compiled, 5),
+            DenseExecutor::new(last, &compiled, 9),
+            &resolved,
+        );
+        assert_reset_equals_fresh(
+            LazyDenseExecutor::new(&g, &Absorb, 5),
+            LazyDenseExecutor::new(last, &Absorb, 9),
+            &resolved,
+        );
+
+        assert_reset_equals_fresh(
+            Executor::new(&g, &TypedAbsorb, 5),
+            Executor::new(last, &TypedAbsorb, 9),
+            &resolved,
+        );
+        let compiled = CompiledProtocol::compile_default(&TypedAbsorb, max_nodes).unwrap();
+        assert_reset_equals_fresh(
+            DenseExecutor::new(&g, &compiled, 5),
+            DenseExecutor::new(last, &compiled, 9),
+            &resolved,
+        );
+        assert_reset_equals_fresh(
+            LazyDenseExecutor::new(&g, &TypedAbsorb, 5),
+            LazyDenseExecutor::new(last, &TypedAbsorb, 9),
+            &resolved,
+        );
     }
 }

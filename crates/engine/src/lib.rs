@@ -14,16 +14,17 @@
 //! * [`Executor`] — applies a protocol under a scheduler and reports the
 //!   stabilization step, the elected leader, and (optionally) a census of
 //!   distinct states for space-complexity measurements;
-//! * [`CompiledProtocol`] / [`DenseExecutor`] — the ahead-of-time
-//!   compiled dense-state core: the reachable state space is enumerated
-//!   once into `u16` ids and the full `|Λ|²` transition table
-//!   precomputed, so the hot loop is two array reads, one table lookup
-//!   and two array writes;
-//! * [`LazyDenseExecutor`] — the lazily-compiling dense engine: states
-//!   interned into `u32` ids on first sight, pair successors memoized on
-//!   first use, which brings protocols whose state spaces overflow the
-//!   ahead-of-time cap (the identifier protocol at realistic `k`,
-//!   full-scale fast-protocol instances) onto the same dense hot loop;
+//! * [`TableExecutor`] — the dense-state executor, written once over a
+//!   [`PairTable`], so the hot loop is two array reads, one table lookup
+//!   and two array writes. It comes in two flavours:
+//!   - [`CompiledProtocol`] / [`DenseExecutor`] — ahead-of-time
+//!     compiled: the reachable state space is enumerated once into `u16`
+//!     ids and the full `|Λ|²` transition table precomputed;
+//!   - [`LazyTable`] / [`LazyDenseExecutor`] — lazily compiled: states
+//!     interned into `u32` ids on first sight, pair successors memoized
+//!     on first use, which brings protocols whose state spaces overflow
+//!     the ahead-of-time cap (the identifier protocol at realistic `k`,
+//!     full-scale fast-protocol instances) onto the same hot loop;
 //! * [`LaneDenseExecutor`] — the opt-in lane-parallel dense engine:
 //!   8–16 Monte-Carlo trials of one compiled cell stepped in lockstep
 //!   over structure-of-arrays state, per-trial trace-identical to
@@ -39,7 +40,7 @@
 //!   generic) and recording the choice in each trial result;
 //! * [`faults`] — fault injection and dynamic graphs: deterministic
 //!   [`FaultPlan`] schedules (state corruption, node churn, edge
-//!   rewiring) applied identically by both engines, with
+//!   rewiring) applied identically by every per-agent engine, with
 //!   recovery-oriented metrics ([`faults::Recovery`]);
 //! * [`stabilize`] — self-stabilization workloads: arbitrary start
 //!   configurations ([`stabilize::ArbitraryInit`]) sampled per trial,
@@ -111,10 +112,13 @@ pub mod faults;
 pub mod monte_carlo;
 pub mod stabilize;
 
+#[cfg(test)]
+mod testkit;
+
 pub use dense::{
     compile_for_count, count_supported, CompileError, CompiledProtocol, CountEngine, DenseExecutor,
-    LaneDenseExecutor, LaneOutcome, LazyDenseExecutor, LazyTable, StateId,
-    COUNT_MAX_COMPILED_STATES, COUNT_MIN_AGENTS, DEFAULT_MAX_COMPILED_STATES,
+    LaneDenseExecutor, LaneOutcome, LazyDenseExecutor, LazyTable, PairTable, StateId,
+    TableExecutor, COUNT_MAX_COMPILED_STATES, COUNT_MIN_AGENTS, DEFAULT_MAX_COMPILED_STATES,
 };
 pub use executor::{Executor, NotStabilized, Outcome};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, ResolvedFaultPlan};

@@ -5,56 +5,57 @@
 //! Trial `i` of a given master seed always produces the same result
 //! regardless of thread count, so experiment outputs are reproducible.
 //!
-//! Six entry points share that contract:
+//! The entry points share that contract:
 //!
 //! * [`run_trials`] — the generic reference engine ([`Executor`]);
-//! * [`run_trials_dense`] — the ahead-of-time compiled engine
-//!   ([`crate::DenseExecutor`]) over a shared [`CompiledProtocol`] table;
-//! * [`run_trials_lazy`] — the lazily-compiling dense engine
-//!   ([`crate::LazyDenseExecutor`]), one warm pair cache per worker;
+//! * [`run_trials_auto`] — the selection point over the per-agent
+//!   engines (AOT-compiled [`crate::DenseExecutor`] → lazy-compiled
+//!   [`crate::LazyDenseExecutor`] → generic, see [`select_engine`]),
+//!   plus the opt-in lane tier when the AOT path wins a fault-free,
+//!   census-free cell with at least [`LANE_MIN_TRIALS`] trials;
+//!   [`select_engine_clique`] extends the waterfall with the count tier
+//!   for graph-free clique populations. Among the trace-identical
+//!   engines the choice never changes the results, only the wall-clock
+//!   time; the choice made is recorded in [`TrialResult::engine`];
+//! * [`run_trials_auto_with_faults`] — the same under a [`FaultPlan`]
+//!   (see [`crate::faults`]): per-trial fault realizations derive from
+//!   the trial seed via [`fault_seed`], so the determinism contract —
+//!   identical results across engines, thread counts and shardings —
+//!   extends to fault-injected campaigns, and recovery metrics are
+//!   attached to each [`TrialResult`];
+//! * [`run_trials_auto_with_faults_prepared`] — the same on an
+//!   [`EngineSelection`] the caller produced once and reuses across
+//!   calls — the hook sweep campaigns use to pay selection and
+//!   compilation once per *cell* instead of once per shard. A selection
+//!   built with [`EngineSelection::dense`], [`EngineSelection::lazy`]
+//!   or [`EngineSelection::generic`] forces that tier instead;
 //! * [`run_trials_lanes`] — the lane-parallel dense engine
 //!   ([`crate::LaneDenseExecutor`]): 8–16 trials of one compiled cell
 //!   stepped in lockstep per worker, retire-and-refill as trials
-//!   finish. Per trial trace-identical to [`run_trials_dense`] — each
+//!   finish. Per trial trace-identical to the scalar AOT tier — each
 //!   lane consumes exactly the RNG stream its trial seed would produce
 //!   scalar — and opt-in via [`TrialOptions::lanes`];
-//! * [`run_trials_count`] — the clique-only count-based batch engine
-//!   ([`crate::CountEngine`]), graph-free: the population size alone
-//!   describes the clique, which is what lets it reach `10⁷–10⁹`
-//!   agents. Deterministic per seed like the others, but exact in
-//!   *distribution* rather than trace-identical to them;
-//! * [`run_trials_auto`] — the selection point over the sequential
-//!   engines (AOT-compiled → lazy-compiled → generic, see
-//!   [`select_engine`]), plus the opt-in lane tier when the AOT path
-//!   wins a fault-free, census-free cell with at least
-//!   [`LANE_MIN_TRIALS`] trials; [`select_engine_clique`] extends the
-//!   waterfall with the count tier for graph-free clique populations.
-//!   Among the trace-identical engines the choice never changes the
-//!   results, only the wall-clock time; the choice made is recorded in
-//!   [`TrialResult::engine`].
+//! * [`run_trials_count`] / [`run_trials_count_prepared`] — the
+//!   clique-only count-based batch engine ([`crate::CountEngine`]),
+//!   graph-free: the population size alone describes the clique, which
+//!   is what lets it reach `10⁷–10⁹` agents. Deterministic per seed like
+//!   the others, but exact in *distribution* rather than trace-identical
+//!   to them.
 //!
-//! Each entry point has a `*_with_faults` counterpart taking a
-//! [`FaultPlan`] (see [`crate::faults`]): per-trial fault realizations
-//! derive from the trial seed via [`fault_seed`], so the determinism
-//! contract — identical results across engines, thread counts and
-//! shardings — extends to fault-injected campaigns, and recovery
-//! metrics are attached to each [`TrialResult`].
-//!
-//! The selecting entry points additionally come in `*_prepared` form
-//! ([`run_trials_auto_prepared`], [`run_trials_auto_with_faults_prepared`],
-//! [`run_trials_count_prepared`]) taking an [`EngineSelection`] (or
-//! pre-compiled count table) the caller produced once and reuses across
-//! calls — the hook sweep campaigns use to pay selection and
-//! compilation once per *cell* instead of once per shard.
+//! The generic, AOT and lazy tiers all run through one private driver:
+//! without faults each worker thread keeps one executor and resets it
+//! per trial (a reset is exactly equivalent to fresh construction);
+//! under a fault plan each trial builds a fresh executor, because
+//! topology faults rebind it to per-trial epoch graphs.
 
 use crate::dense::table::{overflow_walk, WalkVerdict};
 use crate::dense::{
     compile_for_count, count_supported, CompiledProtocol, CountEngine, DenseExecutor,
-    LaneDenseExecutor, LazyDenseExecutor, COUNT_MIN_AGENTS, DEFAULT_MAX_COMPILED_STATES,
-    PROBE_EVAL_BUDGET,
+    LaneDenseExecutor, LazyDenseExecutor, PairTable, TableExecutor, COUNT_MIN_AGENTS,
+    DEFAULT_MAX_COMPILED_STATES, PROBE_EVAL_BUDGET,
 };
-use crate::executor::Executor;
-use crate::faults::{fault_seed, run_with_faults, FaultPlan, Recovery};
+use crate::executor::{Executor, NotStabilized, Outcome};
+use crate::faults::{fault_seed, run_with_faults, FaultPlan, FaultTarget, Recovery};
 use crate::protocol::Protocol;
 use crate::stabilize::HoldingTime;
 use popele_graph::{Graph, NodeId};
@@ -243,208 +244,13 @@ pub fn run_trials<P: Protocol>(
     master_seed: u64,
     options: TrialOptions,
 ) -> Vec<TrialResult> {
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let mut exec = Executor::new(graph, protocol, seq.child(trial as u64));
-        if options.census {
-            exec.enable_state_census();
-        }
-        match exec.run_until_stable(options.max_steps) {
-            Ok(outcome) => TrialResult {
-                trial,
-                stabilization_step: Some(outcome.stabilization_step),
-                leader: outcome.leader,
-                distinct_states: outcome.distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Generic,
-            },
-            Err(_) => TrialResult {
-                trial,
-                stabilization_step: None,
-                leader: None,
-                distinct_states: exec.outcome().distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Generic,
-            },
-        }
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs `options.trials` independent executions on the compiled engine,
-/// sharing one precomputed transition table across all worker threads.
-///
-/// Seed derivation matches [`run_trials`] exactly, and the compiled
-/// engine is trace-identical to the generic one, so for a compilable
-/// protocol the two functions return identical results. Each worker
-/// thread builds **one** executor and [`DenseExecutor::reset`]s it per
-/// trial (a reset is exactly equivalent to fresh construction), so
-/// per-trial setup is O(n) regardless of graph size.
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{run_trials, run_trials_dense, TrialOptions};
-/// use popele_engine::CompiledProtocol;
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// let g = popele_graph::families::clique(12);
-/// let compiled = CompiledProtocol::compile_default(&Absorb, 12).unwrap();
-/// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
-/// // The compiled engine is trace-identical to the generic reference.
-/// assert_eq!(
-///     run_trials_dense(&g, &compiled, 7, opts),
-///     run_trials(&g, &Absorb, 7, opts),
-/// );
-/// ```
-#[must_use]
-pub fn run_trials_dense<P: Protocol>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |exec: &mut DenseExecutor<'_, P>, trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        exec.reset(seq.child(trial as u64));
-        match exec.run_until_stable(options.max_steps) {
-            Ok(outcome) => TrialResult {
-                trial,
-                stabilization_step: Some(outcome.stabilization_step),
-                leader: outcome.leader,
-                distinct_states: outcome.distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Dense,
-            },
-            Err(_) => TrialResult {
-                trial,
-                stabilization_step: None,
-                leader: None,
-                distinct_states: exec.outcome().distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Dense,
-            },
-        }
-    };
-    let fresh_executor = || {
-        let mut exec = DenseExecutor::new(graph, compiled, 0);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec
-    };
-
-    fan_out(options.trials, threads, fresh_executor, run_one)
-}
-
-/// Runs `options.trials` independent executions on the lazily-compiling
-/// dense engine.
-///
-/// Seed derivation matches [`run_trials`] exactly, and the lazy engine
-/// is trace-identical to the generic one, so the two functions return
-/// identical results for any protocol. Each worker thread builds **one**
-/// [`LazyDenseExecutor`] and [`LazyDenseExecutor::reset`]s it per trial;
-/// the reset deliberately keeps the interner and pair cache warm, so all
-/// trials after a worker's first run against an already-populated cache
-/// (the cache affects speed only, never the trace — results stay
-/// independent of thread count and sharding).
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{run_trials, run_trials_lazy, TrialOptions};
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// let g = popele_graph::families::clique(12);
-/// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
-/// // The lazy engine is trace-identical to the generic reference.
-/// assert_eq!(
-///     run_trials_lazy(&g, &Absorb, 7, opts),
-///     run_trials(&g, &Absorb, 7, opts),
-/// );
-/// ```
-#[must_use]
-pub fn run_trials_lazy<P: Protocol + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |exec: &mut LazyDenseExecutor<'_, P>, trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        exec.reset(seq.child(trial as u64));
-        match exec.run_until_stable(options.max_steps) {
-            Ok(outcome) => TrialResult {
-                trial,
-                stabilization_step: Some(outcome.stabilization_step),
-                leader: outcome.leader,
-                distinct_states: outcome.distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::LazyDense,
-            },
-            Err(_) => TrialResult {
-                trial,
-                stabilization_step: None,
-                leader: None,
-                distinct_states: exec.outcome().distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::LazyDense,
-            },
-        }
-    };
-    let fresh_executor = || {
-        let mut exec = LazyDenseExecutor::new(graph, protocol, 0);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec
-    };
-
-    fan_out(options.trials, threads, fresh_executor, run_one)
+    elect(
+        graph,
+        &GenericTier(protocol),
+        master_seed,
+        options,
+        &FaultPlan::empty(),
+    )
 }
 
 /// Runs `options.trials` independent executions on the count-based
@@ -457,7 +263,7 @@ pub fn run_trials_lazy<P: Protocol + Clone>(
 /// thread builds **one** [`CountEngine`] over a shared compiled table
 /// and [`CountEngine::reset`]s it per trial (`O(|Λ|)`, reusing the
 /// cached initial count vector), mirroring the per-worker executor
-/// reuse of [`run_trials_dense`].
+/// reuse of the per-agent tiers.
 ///
 /// Seed derivation matches [`run_trials`] exactly (child seed
 /// `first_trial + i` of `master_seed`), so results are deterministic
@@ -558,7 +364,7 @@ pub const LANE_MAX_LANES: usize = 16;
 /// `first_trial + i` of `master_seed`, one private scheduler per lane),
 /// and the lane engine is trace-identical to the scalar
 /// [`DenseExecutor`] per trial, so for any thread count, lane count and
-/// sharding the results equal [`run_trials_dense`]'s except for the
+/// sharding the results equal the scalar tiers' except for the
 /// [`TrialResult::engine`] tag (which equality ignores). The distinct
 /// states field is always `None`.
 ///
@@ -571,7 +377,7 @@ pub const LANE_MAX_LANES: usize = 16;
 /// # Examples
 ///
 /// ```
-/// use popele_engine::monte_carlo::{run_trials_dense, run_trials_lanes, TrialOptions};
+/// use popele_engine::monte_carlo::{run_trials, run_trials_lanes, TrialOptions};
 /// use popele_engine::CompiledProtocol;
 /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
 /// # #[derive(Clone, Copy)]
@@ -592,10 +398,10 @@ pub const LANE_MAX_LANES: usize = 16;
 /// let g = popele_graph::families::clique(12);
 /// let compiled = CompiledProtocol::compile_default(&Absorb, 12).unwrap();
 /// let opts = TrialOptions { trials: 9, max_steps: 1 << 22, ..TrialOptions::default() };
-/// // The lane engine is trace-identical to the scalar dense engine.
+/// // The lane engine is trace-identical to the scalar engines.
 /// assert_eq!(
 ///     run_trials_lanes(&g, &compiled, 7, opts),
-///     run_trials_dense(&g, &compiled, 7, opts),
+///     run_trials(&g, &Absorb, 7, opts),
 /// );
 /// ```
 #[must_use]
@@ -677,10 +483,10 @@ pub fn run_trials_lanes<P: Protocol>(
 }
 
 /// Outcome of the internal engine selection: the compiled table rides
-/// along when the AOT path won, so `run_trials_auto` never compiles
-/// twice. Shared with [`crate::stabilize`]'s seeded selection. The
-/// table sits behind an [`Arc`] so an [`EngineSelection`] can be cloned
-/// across worker threads without recompiling.
+/// along when the AOT path won, so a selection never compiles twice.
+/// Shared with [`crate::stabilize`]'s seeded selection. The table sits
+/// behind an [`Arc`] so an [`EngineSelection`] can be cloned across
+/// worker threads without recompiling.
 pub(crate) enum Selected<P: Protocol> {
     Dense(Arc<CompiledProtocol<P>>),
     Lazy,
@@ -708,12 +514,17 @@ pub(crate) enum Selected<P: Protocol> {
 /// node count (`graph.num_nodes() + plan.max_joins()`), exactly as
 /// [`run_trials_auto_with_faults`] does internally.
 ///
+/// [`EngineSelection::dense`], [`EngineSelection::lazy`] and
+/// [`EngineSelection::generic`] skip the waterfall and force a tier —
+/// how tests pin one engine against another.
+///
 /// # Examples
 ///
 /// ```
 /// use popele_engine::monte_carlo::{
-///     run_trials_auto, run_trials_auto_prepared, EngineSelection, TrialOptions,
+///     run_trials_auto, run_trials_auto_with_faults_prepared, EngineSelection, TrialOptions,
 /// };
+/// use popele_engine::FaultPlan;
 /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
 /// # #[derive(Clone, Copy)]
 /// # struct Absorb;
@@ -733,10 +544,15 @@ pub(crate) enum Selected<P: Protocol> {
 /// let g = popele_graph::families::clique(12);
 /// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
 /// let selection = EngineSelection::prepare(&Absorb, g.num_nodes());
-/// // The prepared path is bit-identical to the self-selecting one.
+/// let empty = FaultPlan::empty();
+/// // The prepared path is bit-identical to the self-selecting one…
+/// let prepared = run_trials_auto_with_faults_prepared(&g, &Absorb, &selection, 7, opts, &empty);
+/// assert_eq!(prepared, run_trials_auto(&g, &Absorb, 7, opts));
+/// // …and so is any forced tier.
+/// let lazy = EngineSelection::lazy();
 /// assert_eq!(
-///     run_trials_auto_prepared(&g, &Absorb, &selection, 7, opts),
-///     run_trials_auto(&g, &Absorb, 7, opts),
+///     run_trials_auto_with_faults_prepared(&g, &Absorb, &lazy, 7, opts, &empty),
+///     prepared,
 /// );
 /// ```
 pub struct EngineSelection<P: Protocol> {
@@ -767,14 +583,81 @@ impl<P: Protocol> EngineSelection<P> {
     /// Selects the engine for `protocol` on a graph of `num_nodes`
     /// nodes, compiling the AOT table when that tier wins — the
     /// reusable form of the selection [`run_trials_auto`] performs
-    /// internally (same waterfall, same verdict, bit for bit).
+    /// internally (same waterfall, same verdict, bit for bit):
+    ///
+    /// 1. **AOT-compiled** ([`Engine::Dense`]) when the reachable state
+    ///    space fits [`DEFAULT_MAX_COMPILED_STATES`] — fastest, shareable
+    ///    table;
+    /// 2. **lazy-compiled** ([`Engine::LazyDense`]) when it does not but the
+    ///    protocol declares a finite [`Protocol::state_space_bound`] — the
+    ///    per-run visited slice is then small enough to intern profitably
+    ///    (the identifier protocol at realistic `k`, full-scale fast
+    ///    instances);
+    /// 3. **generic** ([`Engine::Generic`]) otherwise: a protocol that
+    ///    cannot even bound its state space may intern without limit, and
+    ///    the generic engine caps memory at O(n) states.
+    ///
+    /// Selection is cheap on the rejection path: a bounded-frontier probe
+    /// ([`crate::dense::probe_state_space`] with [`PROBE_EVAL_BUDGET`])
+    /// detects cap-overflowing state spaces in microseconds instead of
+    /// running the full BFS closure to overflow on every call. Only the
+    /// rare inconclusive case — a slow-closing state space that might
+    /// still fit — pays for a full compile attempt, which keeps the
+    /// AOT/non-AOT split bit-for-bit identical to compiling
+    /// unconditionally.
     #[must_use]
     pub fn prepare(protocol: &P, num_nodes: u32) -> Self
     where
         P: Clone,
     {
+        // Phase-1 walk only (not the full probe): on the accept path the
+        // probe's closure and the compile's enumeration would be the
+        // same work twice, so anything short of a certified overflow
+        // goes straight to a single compile attempt.
+        let aot = match overflow_walk(
+            protocol,
+            num_nodes,
+            DEFAULT_MAX_COMPILED_STATES,
+            PROBE_EVAL_BUDGET,
+        ) {
+            (WalkVerdict::Exceeds, _) => None,
+            (WalkVerdict::Exhausted | WalkVerdict::Budget, _) => {
+                CompiledProtocol::compile_default(protocol, num_nodes).ok()
+            }
+        };
+        let kind = match aot {
+            Some(compiled) => Selected::Dense(Arc::new(compiled)),
+            None if protocol.state_space_bound().is_some() => Selected::Lazy,
+            None => Selected::Generic,
+        };
+        Self { kind }
+    }
+
+    /// Forces the AOT tier on a table the caller compiled. The table
+    /// must cover the runs it serves: compiled for at least the plan's
+    /// maximum node count, and with
+    /// [`CompiledProtocol::compile_with_seeds`] over the arbitrary
+    /// support for self-stabilization trials.
+    #[must_use]
+    pub fn dense(compiled: Arc<CompiledProtocol<P>>) -> Self {
         Self {
-            kind: select(protocol, num_nodes),
+            kind: Selected::Dense(compiled),
+        }
+    }
+
+    /// Forces the lazily-compiling tier.
+    #[must_use]
+    pub fn lazy() -> Self {
+        Self {
+            kind: Selected::Lazy,
+        }
+    }
+
+    /// Forces the generic reference tier.
+    #[must_use]
+    pub fn generic() -> Self {
+        Self {
+            kind: Selected::Generic,
         }
     }
 
@@ -790,11 +673,12 @@ impl<P: Protocol> EngineSelection<P> {
         }
     }
 
-    /// The engine [`run_trials_auto_prepared`] will actually run under
-    /// `options`: [`Self::engine`] upgraded to [`Engine::Lanes`] when
-    /// the AOT tier won and the options qualify for the lane pack
-    /// (lanes opted in, census off, at least [`LANE_MIN_TRIALS`]
-    /// trials) — the exact gate the run path applies.
+    /// The engine [`run_trials_auto_with_faults_prepared`] will actually
+    /// run with an empty plan under `options`: [`Self::engine`] upgraded
+    /// to [`Engine::Lanes`] when the AOT tier won and the options
+    /// qualify for the lane pack (lanes opted in, census off, at least
+    /// [`LANE_MIN_TRIALS`] trials) — the exact gate the run path
+    /// applies.
     #[must_use]
     pub fn engine_for(&self, options: &TrialOptions) -> Engine {
         match self.engine() {
@@ -805,51 +689,6 @@ impl<P: Protocol> EngineSelection<P> {
             }
             engine => engine,
         }
-    }
-}
-
-/// Picks the engine for `protocol` on an `num_nodes`-node graph:
-///
-/// 1. **AOT-compiled** ([`Engine::Dense`]) when the reachable state
-///    space fits [`DEFAULT_MAX_COMPILED_STATES`] — fastest, shareable
-///    table;
-/// 2. **lazy-compiled** ([`Engine::LazyDense`]) when it does not but the
-///    protocol declares a finite [`Protocol::state_space_bound`] — the
-///    per-run visited slice is then small enough to intern profitably
-///    (the identifier protocol at realistic `k`, full-scale fast
-///    instances);
-/// 3. **generic** ([`Engine::Generic`]) otherwise: a protocol that
-///    cannot even bound its state space may intern without limit, and
-///    the generic engine caps memory at O(n) states.
-///
-/// Selection is cheap on the rejection path: a bounded-frontier probe
-/// ([`probe_state_space`] with [`PROBE_EVAL_BUDGET`]) detects
-/// cap-overflowing state spaces in microseconds instead of running the
-/// full BFS closure to overflow on every call (sweep campaigns call this
-/// once per shard). Only the rare inconclusive case — a slow-closing
-/// state space that might still fit — pays for a full compile attempt,
-/// which keeps the AOT/non-AOT split bit-for-bit identical to compiling
-/// unconditionally.
-fn select<P: Protocol + Clone>(protocol: &P, num_nodes: u32) -> Selected<P> {
-    // Phase-1 walk only (not the full probe): on the accept path the
-    // probe's closure and the compile's enumeration would be the same
-    // work twice, so anything short of a certified overflow goes
-    // straight to a single compile attempt.
-    let aot = match overflow_walk(
-        protocol,
-        num_nodes,
-        DEFAULT_MAX_COMPILED_STATES,
-        PROBE_EVAL_BUDGET,
-    ) {
-        (WalkVerdict::Exceeds, _) => None,
-        (WalkVerdict::Exhausted | WalkVerdict::Budget, _) => {
-            CompiledProtocol::compile_default(protocol, num_nodes).ok()
-        }
-    };
-    match aot {
-        Some(compiled) => Selected::Dense(Arc::new(compiled)),
-        None if protocol.state_space_bound().is_some() => Selected::Lazy,
-        None => Selected::Generic,
     }
 }
 
@@ -882,11 +721,7 @@ fn select<P: Protocol + Clone>(protocol: &P, num_nodes: u32) -> Selected<P> {
 /// ```
 #[must_use]
 pub fn select_engine<P: Protocol + Clone>(protocol: &P, num_nodes: u32) -> Engine {
-    match select(protocol, num_nodes) {
-        Selected::Dense(_) => Engine::Dense,
-        Selected::Lazy => Engine::LazyDense,
-        Selected::Generic => Engine::Generic,
-    }
+    EngineSelection::prepare(protocol, num_nodes).engine()
 }
 
 /// The fourth tier of the engine waterfall, for **clique** populations
@@ -986,179 +821,17 @@ pub fn run_trials_auto<P: Protocol + Clone>(
     master_seed: u64,
     options: TrialOptions,
 ) -> Vec<TrialResult> {
-    let selection = EngineSelection::prepare(protocol, graph.num_nodes());
-    run_trials_auto_prepared(graph, protocol, &selection, master_seed, options)
+    run_trials_auto_with_faults(graph, protocol, master_seed, options, &FaultPlan::empty())
 }
 
-/// [`run_trials_auto`] with the engine selection hoisted out: runs on
-/// whatever `selection` resolved to instead of re-probing and
-/// re-compiling per call.
-///
-/// `selection` must have been prepared for this protocol at
-/// `graph.num_nodes()` (see [`EngineSelection::prepare`]); given that,
-/// results are bit-identical to [`run_trials_auto`] — including the
-/// opt-in lane upgrade, which applies exactly when
-/// [`EngineSelection::engine_for`] says [`Engine::Lanes`]. This is the
-/// entry point sweep campaigns use to run many shards of one cell
-/// against a single prepared selection.
-#[must_use]
-pub fn run_trials_auto_prepared<P: Protocol + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    selection: &EngineSelection<P>,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    match &selection.kind {
-        Selected::Dense(compiled) => {
-            // The opt-in fifth tier: lane-packed trials whenever the AOT
-            // path won and the cell qualifies (census off, enough trials
-            // to fill a minimum pack). Trace-identical to the scalar
-            // path per trial — only speed and the engine tag change.
-            if options.lanes && !options.census && options.trials >= LANE_MIN_TRIALS {
-                run_trials_lanes(graph, compiled, master_seed, options)
-            } else {
-                run_trials_dense(graph, compiled, master_seed, options)
-            }
-        }
-        Selected::Lazy => run_trials_lazy(graph, protocol, master_seed, options),
-        Selected::Generic => run_trials(graph, protocol, master_seed, options),
-    }
-}
-
-/// Runs `options.trials` independent *fault-injected* executions on the
-/// generic engine.
-///
-/// Trial `i` resolves `plan` with [`fault_seed`] of its own trial seed,
-/// so every trial sees an independent fault realization of the same
-/// schedule, and results stay independent of thread count and sharding
-/// exactly as in [`run_trials`]. With an empty plan this is **identical**
-/// (bit for bit) to [`run_trials`] except that no recovery metrics are
-/// attached — the faulted entry points delegate to the plain ones.
-#[must_use]
-pub fn run_trials_with_faults<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials(graph, protocol, master_seed, options);
-    }
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = Executor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        let report = run_with_faults(&mut exec, &resolved, options.max_steps);
-        faulted_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Generic,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs fault-injected trials on the compiled engine, sharing one
-/// precomputed table across workers and trials.
-///
-/// The table must cover the plan's maximum node count
-/// (`graph.num_nodes() + plan.max_joins()` — see
-/// [`FaultPlan::max_joins`]); [`run_trials_auto_with_faults`] compiles
-/// exactly that. Because topology faults rebind an executor to per-trial
-/// epoch graphs, each trial builds a fresh executor instead of resetting
-/// a shared one — the construction is O(n + m) and fault campaigns are
-/// dominated by simulation anyway. Results are identical to
-/// [`run_trials_with_faults`] for the same arguments.
-#[must_use]
-pub fn run_trials_dense_with_faults<P: Protocol>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials_dense(graph, compiled, master_seed, options);
-    }
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = DenseExecutor::new(graph, compiled, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        let report = run_with_faults(&mut exec, &resolved, options.max_steps);
-        faulted_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Dense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs fault-injected trials on the lazily-compiling dense engine.
-///
-/// As in [`run_trials_dense_with_faults`], each trial builds a fresh
-/// executor (topology faults rebind executors to per-trial epoch
-/// graphs), so — unlike the fault-free [`run_trials_lazy`] — the pair
-/// cache is per-trial rather than per-worker. Results are identical to
-/// [`run_trials_with_faults`] for the same arguments.
-#[must_use]
-pub fn run_trials_lazy_with_faults<P: Protocol + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials_lazy(graph, protocol, master_seed, options);
-    }
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = LazyDenseExecutor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        let report = run_with_faults(&mut exec, &resolved, options.max_steps);
-        faulted_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::LazyDense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Fault-injected counterpart of [`run_trials_auto`]: selects for the
-/// plan's maximum node count (`n + max_joins`) among the three engines
-/// exactly as [`select_engine`] does. Whatever is picked, the results
-/// are identical.
+/// Fault-injected counterpart of [`run_trials_auto`]: trial `i` resolves
+/// `plan` with [`fault_seed`] of its own trial seed, so every trial sees
+/// an independent fault realization of the same schedule, and selects
+/// for the plan's maximum node count (`n + max_joins`) among the three
+/// engines exactly as [`select_engine`] does. Whatever is picked, the
+/// results are identical. An empty plan resolves to nothing and has no
+/// joins, so it runs [`run_trials_auto`] bit for bit, without recovery
+/// metrics.
 #[must_use]
 pub fn run_trials_auto_with_faults<P: Protocol + Clone>(
     graph: &Graph,
@@ -1167,27 +840,24 @@ pub fn run_trials_auto_with_faults<P: Protocol + Clone>(
     options: TrialOptions,
     plan: &FaultPlan,
 ) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        // Bit-identical delegation (an empty plan resolves to nothing
-        // and `max_joins` is 0, so selection is unchanged) — and the
-        // only gate through which the fault-aware entry point reaches
-        // the lane tier: lane eligibility requires a fault-free cell.
-        return run_trials_auto(graph, protocol, master_seed, options);
-    }
     let max_nodes = graph.num_nodes() + plan.max_joins();
     let selection = EngineSelection::prepare(protocol, max_nodes);
     run_trials_auto_with_faults_prepared(graph, protocol, &selection, master_seed, options, plan)
 }
 
 /// [`run_trials_auto_with_faults`] with the engine selection hoisted
-/// out.
+/// out: runs on whatever `selection` resolved to instead of re-probing
+/// and re-compiling per call.
 ///
 /// `selection` must have been prepared for this protocol at the plan's
 /// maximum node count — `graph.num_nodes() + plan.max_joins()`, which
 /// equals `graph.num_nodes()` for an empty plan; given that, results
-/// are bit-identical to [`run_trials_auto_with_faults`]. An empty plan
-/// delegates to [`run_trials_auto_prepared`] (the fault-free path,
-/// including its lane gate), mirroring the unprepared entry point.
+/// are bit-identical to [`run_trials_auto_with_faults`]. Under an empty
+/// plan the opt-in lane upgrade applies exactly when
+/// [`EngineSelection::engine_for`] says [`Engine::Lanes`]. This is the
+/// entry point sweep campaigns use to run many shards of one cell
+/// against a single prepared selection, and the one tests use to force
+/// a tier.
 #[must_use]
 pub fn run_trials_auto_with_faults_prepared<P: Protocol + Clone>(
     graph: &Graph,
@@ -1197,32 +867,196 @@ pub fn run_trials_auto_with_faults_prepared<P: Protocol + Clone>(
     options: TrialOptions,
     plan: &FaultPlan,
 ) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials_auto_prepared(graph, protocol, selection, master_seed, options);
-    }
     match &selection.kind {
         Selected::Dense(compiled) => {
-            run_trials_dense_with_faults(graph, compiled, master_seed, options, plan)
+            // The opt-in fifth tier: lane-packed trials whenever the AOT
+            // path won and the cell qualifies (fault-free, census off,
+            // enough trials to fill a minimum pack). Trace-identical to
+            // the scalar path per trial — only speed and the engine tag
+            // change.
+            if plan.is_empty() && selection.engine_for(&options) == Engine::Lanes {
+                run_trials_lanes(graph, compiled, master_seed, options)
+            } else {
+                elect(graph, compiled.as_ref(), master_seed, options, plan)
+            }
         }
-        Selected::Lazy => run_trials_lazy_with_faults(graph, protocol, master_seed, options, plan),
-        Selected::Generic => run_trials_with_faults(graph, protocol, master_seed, options, plan),
+        Selected::Lazy => elect(graph, &LazyTier(protocol), master_seed, options, plan),
+        Selected::Generic => elect(graph, &GenericTier(protocol), master_seed, options, plan),
     }
 }
 
-/// Packs a fault report into a [`TrialResult`].
-fn faulted_result(
+/// What the trial drivers need of an executor beyond the fault surface:
+/// a per-trial reset, the census switch and arbitrary starts.
+pub(crate) trait TrialExecutor<'g, P: Protocol>: FaultTarget<'g> {
+    fn reset(&mut self, seed: u64);
+    fn enable_state_census(&mut self);
+    fn set_configuration(&mut self, states: &[P::State]);
+}
+
+impl<'g, P: Protocol> TrialExecutor<'g, P> for Executor<'g, P> {
+    fn reset(&mut self, seed: u64) {
+        Executor::reset(self, seed);
+    }
+    fn enable_state_census(&mut self) {
+        Executor::enable_state_census(self);
+    }
+    fn set_configuration(&mut self, states: &[P::State]) {
+        Executor::set_configuration(self, states);
+    }
+}
+
+impl<'g, T: PairTable> TrialExecutor<'g, T::Protocol> for TableExecutor<'g, T> {
+    fn reset(&mut self, seed: u64) {
+        TableExecutor::reset(self, seed);
+    }
+    fn enable_state_census(&mut self) {
+        TableExecutor::enable_state_census(self);
+    }
+    fn set_configuration(&mut self, states: &[<T::Protocol as Protocol>::State]) {
+        TableExecutor::set_configuration(self, states);
+    }
+}
+
+/// Builds one tier's executors — the factory the trial drivers take. A
+/// trait rather than a closure because a faulted trial binds its
+/// executor to epoch graphs that live only as long as the trial.
+pub(crate) trait ExecutorFactory<P: Protocol>: Sync {
+    type Exec<'g>: TrialExecutor<'g, P>
+    where
+        Self: 'g;
+    /// The tag recorded on this tier's trials.
+    const ENGINE: Engine;
+
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> Self::Exec<'g>;
+
+    /// A fresh executor, with the census on when `census` is set.
+    fn fresh<'g>(&'g self, graph: &'g Graph, seed: u64, census: bool) -> Self::Exec<'g> {
+        let mut exec = self.build(graph, seed);
+        if census {
+            exec.enable_state_census();
+        }
+        exec
+    }
+}
+
+impl<P: Protocol> ExecutorFactory<P> for CompiledProtocol<P> {
+    type Exec<'g>
+        = DenseExecutor<'g, P>
+    where
+        Self: 'g;
+    const ENGINE: Engine = Engine::Dense;
+
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> DenseExecutor<'g, P> {
+        DenseExecutor::new(graph, self, seed)
+    }
+}
+
+/// The lazily-compiling tier: one [`crate::LazyTable`] per executor,
+/// kept warm across the trials a worker resets it for.
+pub(crate) struct LazyTier<'p, P>(pub(crate) &'p P);
+
+impl<P: Protocol + Clone> ExecutorFactory<P> for LazyTier<'_, P> {
+    type Exec<'g>
+        = LazyDenseExecutor<'g, P>
+    where
+        Self: 'g;
+    const ENGINE: Engine = Engine::LazyDense;
+
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> LazyDenseExecutor<'g, P> {
+        LazyDenseExecutor::new(graph, self.0, seed)
+    }
+}
+
+/// The generic reference tier.
+pub(crate) struct GenericTier<'p, P>(pub(crate) &'p P);
+
+impl<P: Protocol> ExecutorFactory<P> for GenericTier<'_, P> {
+    type Exec<'g>
+        = Executor<'g, P>
+    where
+        Self: 'g;
+    const ENGINE: Engine = Engine::Generic;
+
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> Executor<'g, P> {
+        Executor::new(graph, self.0, seed)
+    }
+}
+
+/// The elect driver behind every per-agent tier: runs trials
+/// `first_trial..first_trial + trials` of `master_seed` on `factory`'s
+/// executors, each to its first stable configuration, under `plan` when
+/// it is non-empty. Fault-free, each worker keeps one executor and
+/// resets it per trial (a reset is exactly equivalent to fresh
+/// construction, and keeps a lazy cache warm); under faults each trial
+/// builds a fresh executor, because topology faults rebind it to the
+/// trial's own epoch graphs.
+fn elect<P: Protocol, F: ExecutorFactory<P>>(
+    graph: &Graph,
+    factory: &F,
+    master_seed: u64,
+    options: TrialOptions,
+    plan: &FaultPlan,
+) -> Vec<TrialResult> {
+    let seq = SeedSeq::new(master_seed);
+    let threads = resolve_threads(options.threads, options.trials);
+    if plan.is_empty() {
+        return fan_out(
+            options.trials,
+            threads,
+            || factory.fresh(graph, 0, options.census),
+            |exec, trial| {
+                let trial = options.first_trial + trial;
+                exec.reset(seq.child(trial as u64));
+                let result = exec.run_until_stable(options.max_steps);
+                let distinct = census_count(exec, options.census);
+                trial_result(trial, &result, distinct, None, None, F::ENGINE)
+            },
+        );
+    }
+    fan_out(
+        options.trials,
+        threads,
+        || (),
+        |(), trial| {
+            let trial = options.first_trial + trial;
+            let seed = seq.child(trial as u64);
+            let resolved = plan.resolve(graph, fault_seed(seed));
+            let mut exec = factory.fresh(graph, seed, options.census);
+            let report = run_with_faults(&mut exec, &resolved, options.max_steps);
+            let distinct = census_count(&exec, options.census);
+            let recovery = Some(report.recovery);
+            trial_result(trial, &report.result, distinct, recovery, None, F::ENGINE)
+        },
+    )
+}
+
+/// Distinct states of a finished trial when the census is on (an O(n)
+/// outcome scan, skipped when it is off).
+pub(crate) fn census_count<'g>(exec: &impl FaultTarget<'g>, census: bool) -> Option<usize> {
+    if census {
+        exec.outcome().distinct_states
+    } else {
+        None
+    }
+}
+
+/// Packs one trial into a [`TrialResult`]: `stabilization_step` and
+/// `leader` come from `result`, the outcome at the (first) stable step.
+pub(crate) fn trial_result(
     trial: usize,
-    report: &crate::faults::FaultReport,
+    result: &Result<Outcome, NotStabilized>,
     distinct_states: Option<usize>,
+    recovery: Option<Recovery>,
+    holding: Option<HoldingTime>,
     engine: Engine,
 ) -> TrialResult {
     TrialResult {
         trial,
-        stabilization_step: report.result.as_ref().ok().map(|o| o.stabilization_step),
-        leader: report.result.as_ref().ok().and_then(|o| o.leader),
+        stabilization_step: result.as_ref().ok().map(|o| o.stabilization_step),
+        leader: result.as_ref().ok().and_then(|o| o.leader),
         distinct_states,
-        recovery: Some(report.recovery),
-        holding: None,
+        recovery,
+        holding,
         engine,
     }
 }
@@ -1315,39 +1149,25 @@ impl TrialStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{LeaderCountOracle, Role};
+    use crate::testkit::Absorb;
     use popele_graph::families;
 
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
+    /// Trials forced onto the scalar AOT tier.
+    fn dense_trials(
+        g: &Graph,
+        compiled: &CompiledProtocol<Absorb>,
+        seed: u64,
+        options: TrialOptions,
+    ) -> Vec<TrialResult> {
+        let selection = EngineSelection::dense(Arc::new(compiled.clone()));
+        run_trials_auto_with_faults_prepared(
+            g,
+            &Absorb,
+            &selection,
+            seed,
+            options,
+            &FaultPlan::empty(),
+        )
     }
 
     #[test]
@@ -1404,7 +1224,7 @@ mod tests {
             ..TrialOptions::default()
         };
         let generic = run_trials(&g, &Absorb, 99, opts);
-        let dense = run_trials_dense(&g, &compiled, 99, opts);
+        let dense = dense_trials(&g, &compiled, 99, opts);
         let auto = run_trials_auto(&g, &Absorb, 99, opts);
         assert_eq!(generic, dense);
         assert_eq!(generic, auto);
@@ -1421,9 +1241,9 @@ mod tests {
             threads,
             ..TrialOptions::default()
         };
-        let one = run_trials_dense(&g, &compiled, 7, opts(1));
-        let four = run_trials_dense(&g, &compiled, 7, opts(4));
-        let eight = run_trials_dense(&g, &compiled, 7, opts(8));
+        let one = dense_trials(&g, &compiled, 7, opts(1));
+        let four = dense_trials(&g, &compiled, 7, opts(4));
+        let eight = dense_trials(&g, &compiled, 7, opts(8));
         assert_eq!(one, four);
         assert_eq!(one, eight);
     }
@@ -1446,7 +1266,7 @@ mod tests {
         let mut sharded = Vec::new();
         for (start, len) in [(0, 4), (4, 3), (7, 2)] {
             sharded.extend(run_trials(&g, &Absorb, 77, opts(start, len)));
-            let dense = run_trials_dense(&g, &compiled, 77, opts(start, len));
+            let dense = dense_trials(&g, &compiled, 77, opts(start, len));
             assert_eq!(&sharded[start..start + len], &dense[..]);
         }
         assert_eq!(whole, sharded);
@@ -1471,7 +1291,14 @@ mod tests {
         };
         for first_trial in [0, 3] {
             assert_eq!(
-                run_trials_auto_prepared(&g, &Absorb, &selection, 77, opts(first_trial)),
+                run_trials_auto_with_faults_prepared(
+                    &g,
+                    &Absorb,
+                    &selection,
+                    77,
+                    opts(first_trial),
+                    &FaultPlan::empty()
+                ),
                 run_trials_auto(&g, &Absorb, 77, opts(first_trial)),
             );
         }

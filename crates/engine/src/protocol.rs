@@ -223,40 +223,7 @@ impl<P: Protocol> StabilityOracle<P> for LeaderCountOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal protocol for oracle unit tests: state = leader bit,
-    /// initiator absorbs.
-    #[derive(Clone, Copy)]
-    struct Absorb;
-
-    impl Protocol for Absorb {
-        type State = bool;
-        type Oracle = LeaderCountOracle;
-
-        fn initial_state(&self, _node: NodeId) -> bool {
-            true
-        }
-
-        fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-            if *a && *b {
-                (true, false)
-            } else {
-                (*a, *b)
-            }
-        }
-
-        fn output(&self, s: &bool) -> Role {
-            if *s {
-                Role::Leader
-            } else {
-                Role::Follower
-            }
-        }
-
-        fn oracle(&self) -> LeaderCountOracle {
-            LeaderCountOracle::new()
-        }
-    }
+    use crate::testkit::Absorb;
 
     #[test]
     fn leader_count_recompute() {

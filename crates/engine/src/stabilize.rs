@@ -26,10 +26,12 @@
 //!   drivers, producing a [`HoldingTime`] (and, under a fault plan,
 //!   [`Recovery`] metrics: a corrupt burst mid-hold measures the
 //!   *re-election* time, the headline property of this protocol class);
-//! * [`run_trials_stabilize`] / [`run_trials_stabilize_dense`] /
-//!   [`run_trials_stabilize_lazy`] / [`run_trials_stabilize_auto`] —
-//!   Monte-Carlo entry points mirroring [`crate::monte_carlo`],
-//!   attaching the metrics to [`TrialResult::holding`].
+//! * [`run_trials_stabilize_auto`] / [`run_trials_stabilize_auto_prepared`]
+//!   — Monte-Carlo entry points mirroring [`crate::monte_carlo`]'s,
+//!   attaching the metrics to [`TrialResult::holding`]. A selection
+//!   built with [`EngineSelection::dense`] (over a table compiled with
+//!   the arbitrary support), [`EngineSelection::lazy`] or
+//!   [`EngineSelection::generic`] forces a tier.
 //!
 //! # What "stable" means here
 //!
@@ -102,19 +104,19 @@
 //! assert_eq!(exec.steps(), elect + hold);
 //! ```
 
-use crate::dense::{
-    CompiledProtocol, DenseExecutor, LazyDenseExecutor, DEFAULT_MAX_COMPILED_STATES,
-};
-use crate::executor::{Executor, NotStabilized, Outcome};
+use crate::dense::{CompiledProtocol, DEFAULT_MAX_COMPILED_STATES};
+use crate::executor::{NotStabilized, Outcome};
 use crate::faults::{drive_ops, fault_seed, FaultPlan, FaultTarget, Recovery, ResolvedFaultPlan};
 use crate::monte_carlo::{
-    fan_out, resolve_threads, Engine, EngineSelection, Selected, TrialOptions, TrialResult,
+    census_count, fan_out, resolve_threads, trial_result, Engine, EngineSelection, ExecutorFactory,
+    GenericTier, LazyTier, Selected, TrialExecutor, TrialOptions, TrialResult,
 };
 use crate::protocol::Protocol;
 use popele_graph::Graph;
 use popele_math::rng::SeedSeq;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A protocol that can be started from an adversarial configuration.
 ///
@@ -386,262 +388,72 @@ pub fn run_to_hold_with_faults<'g, T: FaultTarget<'g>>(
     }
 }
 
-/// Packs a stabilize report into a [`TrialResult`]:
-/// `stabilization_step` carries the election step, `leader` the leader
-/// *at election*, and `holding` is always attached.
-fn stabilize_result(
-    trial: usize,
-    report: &StabilizeReport,
-    distinct_states: Option<usize>,
-    engine: Engine,
-) -> TrialResult {
-    TrialResult {
-        trial,
-        stabilization_step: report.result.as_ref().ok().map(|o| o.stabilization_step),
-        leader: report.result.as_ref().ok().and_then(|o| o.leader),
-        distinct_states,
-        recovery: report.recovery,
-        holding: Some(report.holding),
-        engine,
-    }
-}
-
-/// Runs `options.trials` independent arbitrarily-initialized
-/// elect-and-hold executions on the **generic** engine.
-///
-/// Trial `i` samples its start configuration with
-/// [`arbitrary_seed`]`(seed_i)` and (for a nonempty `plan`) its fault
-/// realization with [`fault_seed`]`(seed_i)`, so results are
-/// independent of thread count and sharding exactly as in
-/// [`crate::monte_carlo::run_trials`]. Pass [`FaultPlan::empty`] for
-/// the fault-free workload.
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::TrialOptions;
-/// use popele_engine::stabilize::{run_trials_stabilize, ArbitraryInit};
-/// use popele_engine::FaultPlan;
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Flimsy;
-/// # impl Protocol for Flimsy {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { false }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         match (a, b) {
-/// #             (true, true) => (true, false),
-/// #             (false, false) => (true, false),
-/// #             _ => (*a, *b),
-/// #         }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-/// # impl ArbitraryInit for Flimsy {
-/// #     fn arbitrary_support(&self) -> Vec<bool> { vec![false, true] }
-/// # }
-///
-/// let g = popele_graph::families::clique(8);
-/// let opts = TrialOptions { trials: 4, max_steps: 1 << 20, ..TrialOptions::default() };
-/// let results = run_trials_stabilize(&g, &Flimsy, 3, opts, &FaultPlan::empty());
-/// assert!(results.iter().all(|r| r.holding.is_some()));
-/// ```
-#[must_use]
-pub fn run_trials_stabilize<P: ArbitraryInit>(
+/// The hold driver behind every per-agent tier, the elect-and-hold
+/// counterpart of the Monte-Carlo elect driver. Trial `i` samples its
+/// start configuration from `support` with [`arbitrary_seed`]`(seed_i)`
+/// and (for a nonempty `plan`) its fault realization with
+/// [`fault_seed`]`(seed_i)`, so results are independent of thread count
+/// and sharding exactly as in [`crate::monte_carlo::run_trials`].
+/// Fault-free, each worker keeps one executor and resets it per trial
+/// (a lazy executor keeps its warm cache; the cache only affects speed,
+/// never the trace); under faults each trial builds a fresh executor,
+/// because topology faults rebind it to the trial's own epoch graphs.
+fn hold<P: Protocol, F: ExecutorFactory<P>>(
     graph: &Graph,
-    protocol: &P,
+    factory: &F,
+    support: &[P::State],
     master_seed: u64,
     options: TrialOptions,
     plan: &FaultPlan,
 ) -> Vec<TrialResult> {
-    let support = protocol.arbitrary_support();
     let seq = SeedSeq::new(master_seed);
     let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let config = sample_support(&support, graph.num_nodes(), arbitrary_seed(seed));
-        let resolved = (!plan.is_empty()).then(|| plan.resolve(graph, fault_seed(seed)));
-        let mut exec = Executor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec.set_configuration(&config);
-        let report = match &resolved {
-            Some(resolved) => run_to_hold_with_faults(&mut exec, resolved, options.max_steps),
-            None => run_to_hold(&mut exec, options.max_steps),
-        };
-        stabilize_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Generic,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs arbitrarily-initialized elect-and-hold trials on the
-/// **ahead-of-time compiled** engine, sharing one table across workers.
-///
-/// The table must have been built with
-/// [`CompiledProtocol::compile_with_seeds`] over the protocol's
-/// [`ArbitraryInit::arbitrary_support`] (and, for plans with node
-/// churn, for `graph.num_nodes() + plan.max_joins()` nodes) —
-/// [`run_trials_stabilize_auto`] compiles exactly that. Results are
-/// identical to [`run_trials_stabilize`] for the same arguments.
-///
-/// # Panics
-///
-/// Panics (inside worker threads) if a sampled start state is missing
-/// from the compiled table.
-#[must_use]
-pub fn run_trials_stabilize_dense<P: ArbitraryInit>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    let support = compiled.protocol().arbitrary_support();
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
+    let start = |seed| sample_support(support, graph.num_nodes(), arbitrary_seed(seed));
     if plan.is_empty() {
-        // Fault-free: no topology changes, so each worker keeps one
-        // executor and resets it per trial (as `run_trials_dense` does).
-        let run_one = |exec: &mut DenseExecutor<'_, P>, trial: usize| -> TrialResult {
+        return fan_out(
+            options.trials,
+            threads,
+            || factory.fresh(graph, 0, options.census),
+            |exec, trial| {
+                let trial = options.first_trial + trial;
+                let seed = seq.child(trial as u64);
+                exec.reset(seed);
+                exec.set_configuration(&start(seed));
+                let report = run_to_hold(exec, options.max_steps);
+                let distinct = census_count(exec, options.census);
+                let holding = Some(report.holding);
+                trial_result(trial, &report.result, distinct, None, holding, F::ENGINE)
+            },
+        );
+    }
+    fan_out(
+        options.trials,
+        threads,
+        || (),
+        |(), trial| {
             let trial = options.first_trial + trial;
             let seed = seq.child(trial as u64);
-            exec.reset(seed);
-            exec.set_configuration(&sample_support(
-                &support,
-                graph.num_nodes(),
-                arbitrary_seed(seed),
-            ));
-            let report = run_to_hold(exec, options.max_steps);
-            stabilize_result(
+            let resolved = plan.resolve(graph, fault_seed(seed));
+            let mut exec = factory.fresh(graph, seed, options.census);
+            exec.set_configuration(&start(seed));
+            let report = run_to_hold_with_faults(&mut exec, &resolved, options.max_steps);
+            let distinct = census_count(&exec, options.census);
+            let holding = Some(report.holding);
+            trial_result(
                 trial,
-                &report,
-                exec.outcome().distinct_states,
-                Engine::Dense,
+                &report.result,
+                distinct,
+                report.recovery,
+                holding,
+                F::ENGINE,
             )
-        };
-        let fresh_executor = || {
-            let mut exec = DenseExecutor::new(graph, compiled, 0);
-            if options.census {
-                exec.enable_state_census();
-            }
-            exec
-        };
-        return fan_out(options.trials, threads, fresh_executor, run_one);
-    }
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = DenseExecutor::new(graph, compiled, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec.set_configuration(&sample_support(
-            &support,
-            graph.num_nodes(),
-            arbitrary_seed(seed),
-        ));
-        let report = run_to_hold_with_faults(&mut exec, &resolved, options.max_steps);
-        stabilize_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Dense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
+        },
+    )
 }
 
-/// Runs arbitrarily-initialized elect-and-hold trials on the
-/// **lazily-compiling** engine — the stress test of its design: the
-/// sampled start states are interned on first sight, exactly like
-/// states discovered mid-run. Results are identical to
-/// [`run_trials_stabilize`] for the same arguments.
-#[must_use]
-pub fn run_trials_stabilize_lazy<P: ArbitraryInit + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    let support = protocol.arbitrary_support();
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    if plan.is_empty() {
-        // Fault-free: keep one executor — and thus one warm interner
-        // and pair cache — per worker (as `run_trials_lazy` does; the
-        // cache only affects speed, never the trace).
-        let run_one = |exec: &mut LazyDenseExecutor<'_, P>, trial: usize| -> TrialResult {
-            let trial = options.first_trial + trial;
-            let seed = seq.child(trial as u64);
-            exec.reset(seed);
-            exec.set_configuration(&sample_support(
-                &support,
-                graph.num_nodes(),
-                arbitrary_seed(seed),
-            ));
-            let report = run_to_hold(exec, options.max_steps);
-            stabilize_result(
-                trial,
-                &report,
-                exec.outcome().distinct_states,
-                Engine::LazyDense,
-            )
-        };
-        let fresh_executor = || {
-            let mut exec = LazyDenseExecutor::new(graph, protocol, 0);
-            if options.census {
-                exec.enable_state_census();
-            }
-            exec
-        };
-        return fan_out(options.trials, threads, fresh_executor, run_one);
-    }
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = LazyDenseExecutor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec.set_configuration(&sample_support(
-            &support,
-            graph.num_nodes(),
-            arbitrary_seed(seed),
-        ));
-        let report = run_to_hold_with_faults(&mut exec, &resolved, options.max_steps);
-        stabilize_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::LazyDense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Seeded engine selection for arbitrary-start workloads: AOT when the
+/// Seeded engine selection for arbitrary-start workloads, in reusable
+/// form: the counterpart of [`EngineSelection::prepare`] that compiles
+/// over the protocol's arbitrary support. The waterfall: AOT when the
 /// closure over initial states **and** the arbitrary support fits the
 /// default cap, lazy when it does not but the protocol declares a
 /// finite state-space bound, generic otherwise.
@@ -651,24 +463,6 @@ pub fn run_trials_stabilize_lazy<P: ArbitraryInit + Clone>(
 /// BFS closure starts, so supports beyond the cap (the large-timer
 /// instances that motivate the lazy engine) are rejected during
 /// seeding, in O(cap) work.
-fn select_stabilize<P: ArbitraryInit + Clone>(protocol: &P, num_nodes: u32) -> Selected<P> {
-    let support = protocol.arbitrary_support();
-    match CompiledProtocol::compile_with_seeds(
-        protocol,
-        num_nodes,
-        DEFAULT_MAX_COMPILED_STATES,
-        &support,
-    ) {
-        Ok(compiled) => Selected::Dense(std::sync::Arc::new(compiled)),
-        Err(_) if protocol.state_space_bound().is_some() => Selected::Lazy,
-        Err(_) => Selected::Generic,
-    }
-}
-
-/// Seeded engine selection for arbitrary-start workloads, in reusable
-/// form: the counterpart of [`EngineSelection::prepare`] that compiles
-/// over the protocol's arbitrary support (see
-/// [`select_stabilize_engine`] for the waterfall).
 ///
 /// A selection prepared here is **not** interchangeable with one from
 /// [`EngineSelection::prepare`] — the AOT table is seeded with the
@@ -682,9 +476,18 @@ pub fn prepare_stabilize_engine<P: ArbitraryInit + Clone>(
     protocol: &P,
     num_nodes: u32,
 ) -> EngineSelection<P> {
-    EngineSelection {
-        kind: select_stabilize(protocol, num_nodes),
-    }
+    let support = protocol.arbitrary_support();
+    let kind = match CompiledProtocol::compile_with_seeds(
+        protocol,
+        num_nodes,
+        DEFAULT_MAX_COMPILED_STATES,
+        &support,
+    ) {
+        Ok(compiled) => Selected::Dense(Arc::new(compiled)),
+        Err(_) if protocol.state_space_bound().is_some() => Selected::Lazy,
+        Err(_) => Selected::Generic,
+    };
+    EngineSelection { kind }
 }
 
 /// The engine [`run_trials_stabilize_auto`] will pick for `protocol`
@@ -721,22 +524,55 @@ pub fn prepare_stabilize_engine<P: ArbitraryInit + Clone>(
 /// ```
 #[must_use]
 pub fn select_stabilize_engine<P: ArbitraryInit + Clone>(protocol: &P, num_nodes: u32) -> Engine {
-    match select_stabilize(protocol, num_nodes) {
-        Selected::Dense(_) => Engine::Dense,
-        Selected::Lazy => Engine::LazyDense,
-        Selected::Generic => Engine::Generic,
-    }
+    prepare_stabilize_engine(protocol, num_nodes).engine()
 }
 
-/// Runs arbitrarily-initialized elect-and-hold trials on the fastest
-/// applicable engine (see [`select_stabilize_engine`]; the AOT table is
-/// compiled over the arbitrary support and the plan's maximum node
-/// count). Whatever is picked, the results are identical — the choice
-/// is recorded in [`TrialResult::engine`].
+/// Runs `options.trials` independent arbitrarily-initialized
+/// elect-and-hold executions on the fastest applicable engine (see
+/// [`select_stabilize_engine`]; the AOT table is compiled over the
+/// arbitrary support and the plan's maximum node count). Whatever is
+/// picked, the results are identical — the choice is recorded in
+/// [`TrialResult::engine`]. Pass [`FaultPlan::empty`] for the
+/// fault-free workload.
 ///
 /// This is the entry point the sweep layer and the `popele-lab
 /// stabilize` experiment use for the loosely-stabilizing protocol
 /// family.
+///
+/// # Examples
+///
+/// ```
+/// use popele_engine::monte_carlo::TrialOptions;
+/// use popele_engine::stabilize::{run_trials_stabilize_auto, ArbitraryInit};
+/// use popele_engine::FaultPlan;
+/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
+/// # #[derive(Clone, Copy)]
+/// # struct Flimsy;
+/// # impl Protocol for Flimsy {
+/// #     type State = bool;
+/// #     type Oracle = LeaderCountOracle;
+/// #     fn initial_state(&self, _node: u32) -> bool { false }
+/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+/// #         match (a, b) {
+/// #             (true, true) => (true, false),
+/// #             (false, false) => (true, false),
+/// #             _ => (*a, *b),
+/// #         }
+/// #     }
+/// #     fn output(&self, s: &bool) -> Role {
+/// #         if *s { Role::Leader } else { Role::Follower }
+/// #     }
+/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
+/// # }
+/// # impl ArbitraryInit for Flimsy {
+/// #     fn arbitrary_support(&self) -> Vec<bool> { vec![false, true] }
+/// # }
+///
+/// let g = popele_graph::families::clique(8);
+/// let opts = TrialOptions { trials: 4, max_steps: 1 << 20, ..TrialOptions::default() };
+/// let results = run_trials_stabilize_auto(&g, &Flimsy, 3, opts, &FaultPlan::empty());
+/// assert!(results.iter().all(|r| r.holding.is_some()));
+/// ```
 #[must_use]
 pub fn run_trials_stabilize_auto<P: ArbitraryInit + Clone>(
     graph: &Graph,
@@ -759,7 +595,16 @@ pub fn run_trials_stabilize_auto<P: ArbitraryInit + Clone>(
 /// plan.max_joins()`); given that, results are bit-identical to
 /// [`run_trials_stabilize_auto`]. This is the entry point sweep
 /// campaigns use to run many shards of one loosely-stabilizing cell
-/// against a single prepared selection.
+/// against a single prepared selection. A forced AOT selection
+/// ([`EngineSelection::dense`]) must carry a table built with
+/// [`CompiledProtocol::compile_with_seeds`] over the protocol's
+/// [`ArbitraryInit::arbitrary_support`] (and, for plans with node
+/// churn, for `graph.num_nodes() + plan.max_joins()` nodes).
+///
+/// # Panics
+///
+/// Panics (inside worker threads) if a sampled start state is missing
+/// from a forced AOT selection's table.
 #[must_use]
 pub fn run_trials_stabilize_auto_prepared<P: ArbitraryInit + Clone>(
     graph: &Graph,
@@ -769,18 +614,39 @@ pub fn run_trials_stabilize_auto_prepared<P: ArbitraryInit + Clone>(
     options: TrialOptions,
     plan: &FaultPlan,
 ) -> Vec<TrialResult> {
+    let support = protocol.arbitrary_support();
     match &selection.kind {
-        Selected::Dense(compiled) => {
-            run_trials_stabilize_dense(graph, compiled, master_seed, options, plan)
-        }
-        Selected::Lazy => run_trials_stabilize_lazy(graph, protocol, master_seed, options, plan),
-        Selected::Generic => run_trials_stabilize(graph, protocol, master_seed, options, plan),
+        Selected::Dense(compiled) => hold(
+            graph,
+            compiled.as_ref(),
+            &support,
+            master_seed,
+            options,
+            plan,
+        ),
+        Selected::Lazy => hold(
+            graph,
+            &LazyTier(protocol),
+            &support,
+            master_seed,
+            options,
+            plan,
+        ),
+        Selected::Generic => hold(
+            graph,
+            &GenericTier(protocol),
+            &support,
+            master_seed,
+            options,
+            plan,
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
     use crate::faults::FaultKind;
     use crate::protocol::{LeaderCountOracle, Role};
     use popele_graph::families;
@@ -907,9 +773,11 @@ mod tests {
             CompiledProtocol::compile_with_seeds(&Flimsy, 10, 16, &Flimsy.arbitrary_support())
                 .unwrap();
         let plan = FaultPlan::empty();
-        let generic = run_trials_stabilize(&g, &Flimsy, 7, opts, &plan);
-        let dense = run_trials_stabilize_dense(&g, &compiled, 7, opts, &plan);
-        let lazy = run_trials_stabilize_lazy(&g, &Flimsy, 7, opts, &plan);
+        let run =
+            |selection| run_trials_stabilize_auto_prepared(&g, &Flimsy, &selection, 7, opts, &plan);
+        let generic = run(EngineSelection::generic());
+        let dense = run(EngineSelection::dense(Arc::new(compiled)));
+        let lazy = run(EngineSelection::lazy());
         let auto = run_trials_stabilize_auto(&g, &Flimsy, 7, opts, &plan);
         assert_eq!(generic, dense);
         assert_eq!(generic, lazy);
@@ -928,8 +796,9 @@ mod tests {
             ..TrialOptions::default()
         };
         let plan = FaultPlan::at(64, FaultKind::CorruptNodes { count: 4 });
-        let one = run_trials_stabilize(&g, &Flimsy, 9, opts(1), &plan);
-        let four = run_trials_stabilize(&g, &Flimsy, 9, opts(4), &plan);
+        let generic = EngineSelection::generic();
+        let one = run_trials_stabilize_auto_prepared(&g, &Flimsy, &generic, 9, opts(1), &plan);
+        let four = run_trials_stabilize_auto_prepared(&g, &Flimsy, &generic, 9, opts(4), &plan);
         assert_eq!(one, four);
         assert!(one.iter().all(|r| r.recovery.is_some()));
     }

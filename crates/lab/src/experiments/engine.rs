@@ -24,14 +24,16 @@ use crate::RunConfig;
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, MajorityProtocol, TokenProtocol};
 use popele_engine::monte_carlo::{
-    run_trials_dense, run_trials_lanes, select_engine, Engine, TrialOptions, LANE_MIN_TRIALS,
+    run_trials_auto_with_faults_prepared, run_trials_lanes, select_engine, Engine, EngineSelection,
+    TrialOptions, LANE_MIN_TRIALS,
 };
 use popele_engine::{
-    compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, LazyDenseExecutor,
-    Protocol,
+    compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, FaultPlan,
+    LazyDenseExecutor, Protocol,
 };
 use popele_graph::{families, Graph};
 use popele_math::rng::SeedSeq;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs the engine-comparison experiment.
@@ -159,8 +161,10 @@ fn race_lanes<P: Protocol + Clone>(
     master_seed: u64,
     trials: usize,
 ) -> (f64, f64, usize, u64, bool) {
-    let compiled = CompiledProtocol::compile_default(p, g.num_nodes())
-        .expect("lane rows need an AOT-compiling protocol");
+    let compiled = Arc::new(
+        CompiledProtocol::compile_default(p, g.num_nodes())
+            .expect("lane rows need an AOT-compiling protocol"),
+    );
     let options = TrialOptions {
         trials,
         max_steps: u64::MAX,
@@ -168,7 +172,15 @@ fn race_lanes<P: Protocol + Clone>(
         ..TrialOptions::default()
     };
     let t0 = Instant::now();
-    let scalar = run_trials_dense(g, &compiled, master_seed, options);
+    let dense = EngineSelection::dense(Arc::clone(&compiled));
+    let scalar = run_trials_auto_with_faults_prepared(
+        g,
+        p,
+        &dense,
+        master_seed,
+        options,
+        &FaultPlan::empty(),
+    );
     let scalar_ns = t0.elapsed().as_nanos() as f64;
     let t1 = Instant::now();
     let lanes = run_trials_lanes(g, &compiled, master_seed, options);

@@ -16,9 +16,12 @@
 mod harness;
 
 use harness::{assert_table_agrees, diff_outcomes};
-use popele::engine::monte_carlo::{run_trials, run_trials_auto, run_trials_dense, TrialOptions};
+use popele::engine::monte_carlo::{
+    run_trials, run_trials_auto, run_trials_auto_with_faults_prepared, EngineSelection,
+    TrialOptions,
+};
 use popele::engine::{
-    CompiledProtocol, DenseExecutor, Executor, LeaderCountOracle, Protocol, Role,
+    CompiledProtocol, DenseExecutor, Executor, FaultPlan, LeaderCountOracle, Protocol, Role,
 };
 use popele::graph::families;
 use popele::protocols::clock::StreakClock;
@@ -27,6 +30,7 @@ use popele::protocols::{
     FastProtocol, IdentifierProtocol, MajorityProtocol, StarProtocol, TokenProtocol,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The streak clock of Section 5.1 wrapped as a `Protocol`, so the
 /// clock subroutine's compiled table is validated like the full
@@ -259,8 +263,10 @@ fn auto_trials_equal_generic_trials_and_threads_do_not_matter() {
     assert_eq!(generic, auto4);
 
     let compiled = CompiledProtocol::compile_default(&p, 16).unwrap();
-    let dense1 = run_trials_dense(&g, &compiled, 0xC0FFEE, opts(1));
-    let dense3 = run_trials_dense(&g, &compiled, 0xC0FFEE, opts(3));
+    let dense = EngineSelection::dense(Arc::new(compiled));
+    let empty = FaultPlan::empty();
+    let dense1 = run_trials_auto_with_faults_prepared(&g, &p, &dense, 0xC0FFEE, opts(1), &empty);
+    let dense3 = run_trials_auto_with_faults_prepared(&g, &p, &dense, 0xC0FFEE, opts(3), &empty);
     assert_eq!(generic, dense1);
     assert_eq!(dense1, dense3);
 }

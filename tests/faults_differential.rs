@@ -15,12 +15,13 @@
 
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
-    run_trials_auto, run_trials_auto_with_faults, run_trials_dense_with_faults,
-    run_trials_with_faults, TrialOptions,
+    run_trials_auto, run_trials_auto_with_faults, run_trials_auto_with_faults_prepared,
+    EngineSelection, TrialOptions,
 };
 use popele::engine::{CompiledProtocol, DenseExecutor, Executor};
 use popele::graph::families;
 use popele::protocols::{MajorityProtocol, TokenProtocol};
+use std::sync::Arc;
 
 fn opts(threads: usize) -> TrialOptions {
     TrialOptions {
@@ -85,8 +86,9 @@ fn empty_plan_monte_carlo_matches_plain_entry_points() {
         run_trials_auto_with_faults(&g, &protocol, 77, opts(2), &empty),
         plain
     );
+    let generic = EngineSelection::generic();
     assert_eq!(
-        run_trials_with_faults(&g, &protocol, 77, opts(2), &empty),
+        run_trials_auto_with_faults_prepared(&g, &protocol, &generic, 77, opts(2), &empty),
         plain
     );
     assert!(plain.iter().all(|r| r.recovery.is_none()));
@@ -125,8 +127,11 @@ fn faulted_trials_match_across_engines_and_threads() {
         FaultPlan::at(400, FaultKind::CorruptNodes { count: 4 }).and(800, FaultKind::RewireEdge);
     let compiled = CompiledProtocol::compile_default(&protocol, 18).unwrap();
 
-    let generic = run_trials_with_faults(&g, &protocol, 3, opts(1), &plan);
-    let dense = run_trials_dense_with_faults(&g, &compiled, 3, opts(1), &plan);
+    let forced = |selection| {
+        run_trials_auto_with_faults_prepared(&g, &protocol, &selection, 3, opts(1), &plan)
+    };
+    let generic = forced(EngineSelection::generic());
+    let dense = forced(EngineSelection::dense(Arc::new(compiled)));
     let auto = run_trials_auto_with_faults(&g, &protocol, 3, opts(1), &plan);
     assert_eq!(generic, dense);
     assert_eq!(generic, auto);

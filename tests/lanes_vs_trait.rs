@@ -28,13 +28,32 @@
 //!    recording the lane engine exactly when the tier is eligible.
 
 use popele::engine::monte_carlo::{
-    run_trials, run_trials_auto, run_trials_dense, run_trials_lanes, Engine, TrialOptions,
-    LANE_MIN_TRIALS,
+    run_trials, run_trials_auto, run_trials_auto_with_faults_prepared, run_trials_lanes, Engine,
+    EngineSelection, TrialOptions, TrialResult, LANE_MIN_TRIALS,
 };
-use popele::engine::{CompiledProtocol, DenseExecutor, LaneDenseExecutor};
+use popele::engine::{CompiledProtocol, DenseExecutor, FaultPlan, LaneDenseExecutor, Protocol};
 use popele::graph::{families, random::random_regular_connected, Graph};
 use popele::protocols::params::FastParams;
 use popele::protocols::{FastProtocol, StarProtocol, TokenProtocol};
+use std::sync::Arc;
+
+/// Scalar AOT trials on `compiled`, forced past the selection waterfall.
+fn run_trials_dense<P: Protocol + Clone>(
+    g: &Graph,
+    compiled: &CompiledProtocol<P>,
+    seed: u64,
+    o: TrialOptions,
+) -> Vec<TrialResult> {
+    let dense = EngineSelection::dense(Arc::new(compiled.clone()));
+    run_trials_auto_with_faults_prepared(
+        g,
+        compiled.protocol(),
+        &dense,
+        seed,
+        o,
+        &FaultPlan::empty(),
+    )
+}
 
 fn opts(trials: usize, first_trial: usize, max_steps: u64, threads: usize) -> TrialOptions {
     TrialOptions {

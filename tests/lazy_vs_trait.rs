@@ -25,8 +25,8 @@ use popele::engine::dense::PROBE_EVAL_BUDGET;
 use popele::engine::dense::{probe_state_space, SpaceProbe, DEFAULT_MAX_COMPILED_STATES};
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
-    run_trials, run_trials_auto, run_trials_auto_with_faults, run_trials_lazy,
-    run_trials_lazy_with_faults, run_trials_with_faults, select_engine, Engine, TrialOptions,
+    run_trials, run_trials_auto, run_trials_auto_with_faults, run_trials_auto_with_faults_prepared,
+    select_engine, Engine, EngineSelection, TrialOptions,
 };
 use popele::engine::{
     CompiledProtocol, Executor, LazyDenseExecutor, LeaderCountOracle, Protocol, Role,
@@ -205,14 +205,17 @@ fn lazy_trials_bit_identical_across_threads_and_shards() {
         lanes: false,
         threads,
     };
+    let lazy = EngineSelection::lazy();
+    let empty = FaultPlan::empty();
+    let run_lazy = |o| run_trials_auto_with_faults_prepared(&g, &p, &lazy, 0xBEEF, o, &empty);
     let generic = run_trials(&g, &p, 0xBEEF, opts(1, 0, 8));
-    let lazy1 = run_trials_lazy(&g, &p, 0xBEEF, opts(1, 0, 8));
-    let lazy4 = run_trials_lazy(&g, &p, 0xBEEF, opts(4, 0, 8));
+    let lazy1 = run_lazy(opts(1, 0, 8));
+    let lazy4 = run_lazy(opts(4, 0, 8));
     assert_eq!(generic, lazy1);
     assert_eq!(generic, lazy4);
     let mut sharded = Vec::new();
     for (start, len) in [(0, 3), (3, 3), (6, 2)] {
-        sharded.extend(run_trials_lazy(&g, &p, 0xBEEF, opts(2, start, len)));
+        sharded.extend(run_lazy(opts(2, start, len)));
     }
     assert_eq!(generic, sharded);
 }
@@ -231,9 +234,11 @@ fn lazy_faulted_trials_equal_generic_faulted_trials() {
         threads,
         ..TrialOptions::default()
     };
-    let generic = run_trials_with_faults(&g, &p, 0xFA, opts(1), &plan);
-    let lazy1 = run_trials_lazy_with_faults(&g, &p, 0xFA, opts(1), &plan);
-    let lazy3 = run_trials_lazy_with_faults(&g, &p, 0xFA, opts(3), &plan);
+    let forced =
+        |selection, o| run_trials_auto_with_faults_prepared(&g, &p, &selection, 0xFA, o, &plan);
+    let generic = forced(EngineSelection::generic(), opts(1));
+    let lazy1 = forced(EngineSelection::lazy(), opts(1));
+    let lazy3 = forced(EngineSelection::lazy(), opts(3));
     assert_eq!(generic, lazy1);
     assert_eq!(generic, lazy3);
     // The auto path picks the lazy engine for this workload and returns

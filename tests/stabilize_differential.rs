@@ -16,14 +16,15 @@
 mod harness;
 
 use harness::{assert_trace_identical_from, small_families};
-use popele::engine::monte_carlo::{Engine, TrialOptions};
+use popele::engine::monte_carlo::{Engine, EngineSelection, TrialOptions};
 use popele::engine::stabilize::{
-    arbitrary_config, arbitrary_seed, run_to_hold, run_trials_stabilize, run_trials_stabilize_auto,
-    run_trials_stabilize_dense, run_trials_stabilize_lazy, select_stabilize_engine, ArbitraryInit,
+    arbitrary_config, arbitrary_seed, run_to_hold, run_trials_stabilize_auto,
+    run_trials_stabilize_auto_prepared, select_stabilize_engine, ArbitraryInit,
 };
 use popele::engine::{CompiledProtocol, Executor, FaultKind, FaultPlan, LazyDenseExecutor};
 use popele::graph::families;
 use popele::protocols::{LooseProtocol, RingLooseProtocol};
+use std::sync::Arc;
 
 #[test]
 fn loose_trace_identical_from_arbitrary_starts_on_all_families() {
@@ -84,9 +85,11 @@ fn stabilize_trials_agree_across_engines_under_corrupt_bursts() {
         let p = LooseProtocol::new(16);
         let compiled =
             CompiledProtocol::compile_with_seeds(&p, 18, 256, &p.arbitrary_support()).unwrap();
-        let generic = run_trials_stabilize(&g, &p, 77, opts, &plan);
-        let dense = run_trials_stabilize_dense(&g, &compiled, 77, opts, &plan);
-        let lazy = run_trials_stabilize_lazy(&g, &p, 77, opts, &plan);
+        let forced =
+            |selection| run_trials_stabilize_auto_prepared(&g, &p, &selection, 77, opts, &plan);
+        let generic = forced(EngineSelection::generic());
+        let dense = forced(EngineSelection::dense(Arc::new(compiled)));
+        let lazy = forced(EngineSelection::lazy());
         let auto = run_trials_stabilize_auto(&g, &p, 77, opts, &plan);
         assert_eq!(generic, dense, "{g}");
         assert_eq!(generic, lazy, "{g}");
@@ -164,9 +167,10 @@ fn large_budgets_ride_the_lazy_engine_trace_identically() {
     };
     let auto = run_trials_stabilize_auto(&g, &p, 4, opts, &FaultPlan::empty());
     assert!(auto.iter().all(|r| r.engine == Engine::LazyDense));
+    let generic = EngineSelection::generic();
     assert_eq!(
         auto,
-        run_trials_stabilize(&g, &p, 4, opts, &FaultPlan::empty())
+        run_trials_stabilize_auto_prepared(&g, &p, &generic, 4, opts, &FaultPlan::empty())
     );
 }
 
