@@ -9,7 +9,9 @@
 //! * `faults/resolve` — how expensive is resolving a plan against a
 //!   graph (target sampling, connectivity checks, epoch
 //!   materialization)? This happens once per trial and must stay far
-//!   below the simulation it perturbs.
+//!   below the simulation it perturbs. The `rewire` and `churn` rows
+//!   resolve the sweep's own profiles (`FaultSpec::plan`) on
+//!   `clique(1000)`, the densest graph a sweep faults.
 //! * `faults/election` — end-to-end faulted elections on the compiled
 //!   engine (corruption bursts and churn on `clique(1000)`), the
 //!   workload `popele-lab sweep --faults` runs per cell.
@@ -21,6 +23,7 @@ use popele_core::TokenProtocol;
 use popele_engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele_engine::{CompiledProtocol, DenseExecutor};
 use popele_graph::families;
+use popele_lab::sweep::FaultSpec;
 use std::time::Duration;
 
 const N: u32 = 1000;
@@ -93,6 +96,19 @@ fn bench_resolve(c: &mut Criterion) {
             black_box(plan.resolve(&cycle, fault_seed(seed)).ops.len())
         });
     });
+    for (name, spec) in [
+        ("rewire_clique_1000", FaultSpec::Rewire),
+        ("churn_clique_1000", FaultSpec::Churn),
+    ] {
+        let plan = spec.plan(N);
+        group.bench_function(name, |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                black_box(plan.resolve(&clique, fault_seed(seed)).ops.len())
+            });
+        });
+    }
     group.finish();
 }
 

@@ -95,11 +95,11 @@
 use crate::dense::{PairTable, TableExecutor};
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::protocol::Protocol;
-use popele_graph::properties::is_connected;
 use popele_graph::{Graph, NodeId};
 use popele_math::rng::SeedSeq;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 /// One kind of perturbation, before resolution picks concrete targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,6 +230,20 @@ impl FaultPlan {
     /// Events whose kind is impossible on the current graph (no missing
     /// edge to add, no removable edge, no removable node) are dropped
     /// and counted in [`ResolvedFaultPlan::skipped`].
+    ///
+    /// # Cost
+    ///
+    /// Resolution pays for the faults it commits, not for its attempts:
+    ///
+    /// * each rejected removal candidate costs one BFS on the working
+    ///   graph that skips the candidate and stops once it has reached
+    ///   every remaining node (`O(n)` on a clique, at most `O(n + m)`);
+    ///   a missing-edge draw is one [`Graph::has_edge`] lookup;
+    /// * each committed topology event costs one `O(n + m)` patch of
+    ///   the working graph's CSR rows ([`Graph::with_edge_moved`],
+    ///   [`Graph::with_node`], [`Graph::without_node`],
+    ///   [`Graph::with_edges`]);
+    /// * a skipped event builds no graph at all.
     #[must_use]
     pub fn resolve(&self, initial: &Graph, seed: u64) -> ResolvedFaultPlan {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -256,46 +270,52 @@ impl FaultPlan {
                         action: FaultAction::Corrupt(nodes),
                     });
                 }
-                FaultKind::AddEdge => match sample_missing_edge(&mut rng, graph, None) {
-                    Some((u, v)) => {
-                        let next = graph.with_edges(&[(u, v)]).expect("sampled a non-edge");
+                FaultKind::AddEdge => match sample_missing_edge(&mut rng, graph) {
+                    Some(uv) => {
+                        let next = graph.with_edges(&[uv]).expect("sampled a non-edge");
                         push_epoch(&mut epochs, &mut ops, event.step, next, None);
                     }
                     None => skipped += 1,
                 },
                 FaultKind::RemoveEdge => match sample_removable_edge(&mut rng, graph) {
-                    Some(reduced) => {
-                        push_epoch(&mut epochs, &mut ops, event.step, reduced, None);
+                    Some(e) => {
+                        let next = graph.with_edge_moved(e, None).expect("removal is valid");
+                        push_epoch(&mut epochs, &mut ops, event.step, next, None);
                     }
                     None => skipped += 1,
                 },
                 FaultKind::RewireEdge => {
-                    let Some(reduced) = sample_removable_edge(&mut rng, graph) else {
+                    let Some(e) = sample_removable_edge(&mut rng, graph) else {
                         skipped += 1;
                         continue;
                     };
-                    // Never re-insert what was just removed: the rewire
-                    // must actually move an edge.
-                    let removed = removed_edge(graph, &reduced);
-                    match sample_missing_edge(&mut rng, &reduced, Some(removed)) {
-                        Some((u, v)) => {
-                            let next = reduced.with_edges(&[(u, v)]).expect("sampled a non-edge");
+                    // A pair missing from `graph` is missing from the
+                    // reduced graph and is never the removed edge, so
+                    // testing `graph` accepts exactly the pairs the
+                    // reduced graph would, minus re-inserting the removed
+                    // edge: the rewire always moves an edge.
+                    match sample_missing_edge(&mut rng, graph) {
+                        Some(uv) => {
+                            let next = graph
+                                .with_edge_moved(e, Some(uv))
+                                .expect("sampled a non-edge");
                             push_epoch(&mut epochs, &mut ops, event.step, next, None);
                         }
                         None => skipped += 1,
                     }
                 }
                 FaultKind::JoinNode { degree } => {
-                    let n = graph.num_nodes();
-                    let anchors = sample_distinct(&mut rng, n, degree.max(1));
-                    let mut edges = graph.edges().to_vec();
-                    edges.extend(anchors.iter().map(|&a| (a, n)));
-                    let next =
-                        Graph::from_edges(n + 1, &edges).expect("join keeps the graph valid");
+                    let anchors = sample_distinct(&mut rng, graph.num_nodes(), degree.max(1));
+                    let next = graph
+                        .with_node(&anchors)
+                        .expect("anchors are distinct existing nodes");
                     push_epoch(&mut epochs, &mut ops, event.step, next, Some(Churn::Join));
                 }
                 FaultKind::LeaveNode => match sample_removable_node(&mut rng, graph) {
-                    Some((next, removed)) => {
+                    Some(removed) => {
+                        let next = graph
+                            .without_node(removed)
+                            .expect("sampled an existing node");
                         push_epoch(
                             &mut epochs,
                             &mut ops,
@@ -355,14 +375,9 @@ fn sample_distinct(rng: &mut SmallRng, n: u32, count: u32) -> Vec<NodeId> {
     pool
 }
 
-/// Rejection-samples a missing edge `(u, v)` with `u < v`, optionally
-/// excluding one pair. Bounded tries keep resolution deterministic and
-/// fast even on near-complete graphs.
-fn sample_missing_edge(
-    rng: &mut SmallRng,
-    graph: &Graph,
-    exclude: Option<(NodeId, NodeId)>,
-) -> Option<(NodeId, NodeId)> {
+/// Rejection-samples a missing edge `(u, v)` with `u < v`. Bounded tries
+/// keep resolution deterministic and fast even on near-complete graphs.
+fn sample_missing_edge(rng: &mut SmallRng, graph: &Graph) -> Option<(NodeId, NodeId)> {
     let n = graph.num_nodes();
     if n < 2 {
         return None;
@@ -371,78 +386,87 @@ fn sample_missing_edge(
         let u = rng.random_range(0..n);
         let v = rng.random_range(0..n);
         let (u, v) = (u.min(v), u.max(v));
-        if u != v && !graph.has_edge(u, v) && exclude != Some((u, v)) {
+        if u != v && !graph.has_edge(u, v) {
             return Some((u, v));
         }
     }
     None
 }
 
-/// Rejection-samples an edge whose removal keeps the graph connected
-/// (and non-edgeless), returning the reduced graph.
-fn sample_removable_edge(rng: &mut SmallRng, graph: &Graph) -> Option<Graph> {
+/// Rejection-samples the index (into [`Graph::edges`]) of an edge whose
+/// removal keeps the graph connected (and non-edgeless).
+fn sample_removable_edge(rng: &mut SmallRng, graph: &Graph) -> Option<usize> {
     let m = graph.num_edges();
     if m < 2 {
         return None;
     }
     for _ in 0..16 {
         let e = rng.random_range(0..m);
-        let edges: Vec<(NodeId, NodeId)> = graph
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != e)
-            .map(|(_, &uv)| uv)
-            .collect();
-        let candidate =
-            Graph::from_edges(graph.num_nodes(), &edges).expect("subset of a valid edge list");
-        if is_connected(&candidate) {
-            return Some(candidate);
+        if stays_connected(graph, Cut::Edge(graph.edges()[e])) {
+            return Some(e);
         }
     }
     None
 }
 
-/// The one edge present in `graph` but not in `reduced`.
-fn removed_edge(graph: &Graph, reduced: &Graph) -> (NodeId, NodeId) {
-    *graph
-        .edges()
-        .iter()
-        .find(|&&(u, v)| !reduced.has_edge(u, v))
-        .expect("reduced graph is missing exactly one edge")
-}
-
-/// Rejection-samples a node whose removal keeps the graph connected,
-/// returning the reduced, relabelled graph (last node takes the removed
-/// node's id) and the removed id.
-fn sample_removable_node(rng: &mut SmallRng, graph: &Graph) -> Option<(Graph, NodeId)> {
+/// Rejection-samples a node whose removal keeps the graph connected (and
+/// at least two nodes large).
+fn sample_removable_node(rng: &mut SmallRng, graph: &Graph) -> Option<NodeId> {
     let n = graph.num_nodes();
     if n <= 2 {
         return None;
     }
     for _ in 0..16 {
         let v = rng.random_range(0..n);
-        let last = n - 1;
-        // Drop edges at `v`, relabel `last → v` everywhere else.
-        let relabel = |w: NodeId| if w == last { v } else { w };
-        let edges: Vec<(NodeId, NodeId)> = graph
-            .edges()
-            .iter()
-            .filter(|&&(a, b)| a != v && b != v)
-            .map(|&(a, b)| {
-                let (a, b) = (relabel(a), relabel(b));
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        if edges.is_empty() {
-            continue;
-        }
-        let candidate = Graph::from_edges(n - 1, &edges).expect("relabelling keeps edges valid");
-        if is_connected(&candidate) {
-            return Some((candidate, v));
+        if stays_connected(graph, Cut::Node(v)) {
+            return Some(v);
         }
     }
     None
+}
+
+/// What a removal deletes from the working graph.
+#[derive(Clone, Copy)]
+enum Cut {
+    /// One edge, `(u, v)` with `u < v`.
+    Edge((NodeId, NodeId)),
+    /// One node and its edges.
+    Node(NodeId),
+}
+
+/// Whether `graph` minus `cut` is connected: exactly [`is_connected`] of
+/// the reduced graph, without building it. One BFS over the surviving
+/// nodes and edges that stops once it has reached them all — `O(n)` on a
+/// clique, never more than `O(n + m)`.
+///
+/// [`is_connected`]: popele_graph::properties::is_connected
+fn stays_connected(graph: &Graph, cut: Cut) -> bool {
+    let n = graph.num_nodes();
+    let mut seen = vec![false; n as usize];
+    let (start, goal, skipped_edge) = match cut {
+        Cut::Edge((u, v)) => (u, n, Some((u, v))),
+        Cut::Node(v) => {
+            seen[v as usize] = true;
+            (u32::from(v == 0), n - 1, None)
+        }
+    };
+    seen[start as usize] = true;
+    let mut reached = 1;
+    let mut queue = VecDeque::from([start]);
+    while reached < goal {
+        let Some(x) = queue.pop_front() else {
+            return false;
+        };
+        for &y in graph.neighbors(x) {
+            if seen[y as usize] || skipped_edge == Some((x.min(y), x.max(y))) {
+                continue;
+            }
+            seen[y as usize] = true;
+            reached += 1;
+            queue.push_back(y);
+        }
+    }
+    true
 }
 
 /// A resolved action, ready to apply between two interactions.
@@ -761,7 +785,9 @@ mod tests {
     use crate::monte_carlo::TrialExecutor;
     use crate::protocol::{LeaderCountOracle, Role, StabilityOracle};
     use crate::testkit::Absorb;
-    use popele_graph::families;
+    use popele_graph::properties::is_connected;
+    use popele_graph::{families, random};
+    use proptest::prelude::*;
 
     /// [`Absorb`] behind an oracle that does not declare itself a plain
     /// leader count, so the dense executors drive the typed oracle (and
@@ -803,6 +829,217 @@ mod tests {
 
         fn oracle(&self) -> TypedOracle {
             TypedOracle(LeaderCountOracle::new())
+        }
+    }
+
+    /// The resolver as first written: every candidate removal is built as
+    /// a graph and kept only if [`is_connected`], a rewire recovers the
+    /// removed edge by scanning, and every epoch goes through
+    /// [`Graph::from_edges`]. [`FaultPlan::resolve`] must equal it.
+    fn reference_resolve(plan: &FaultPlan, initial: &Graph, seed: u64) -> ResolvedFaultPlan {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut events = plan.events.clone();
+        events.sort_by_key(|e| e.step);
+        let mut epochs: Vec<Graph> = Vec::new();
+        let mut ops = Vec::new();
+        let mut skipped = 0;
+        for event in &events {
+            let graph = epochs.last().unwrap_or(initial);
+            let (next, churn) = match event.kind {
+                FaultKind::CorruptNodes { count } => {
+                    let nodes = sample_distinct(&mut rng, graph.num_nodes(), count);
+                    if nodes.is_empty() {
+                        skipped += 1;
+                    } else {
+                        ops.push(ResolvedFault {
+                            step: event.step,
+                            action: FaultAction::Corrupt(nodes),
+                        });
+                    }
+                    continue;
+                }
+                FaultKind::AddEdge => (
+                    reference_missing_edge(&mut rng, graph, None).map(|uv| plus_edge(graph, uv)),
+                    None,
+                ),
+                FaultKind::RemoveEdge => (reference_removable_edge(&mut rng, graph), None),
+                FaultKind::RewireEdge => (
+                    reference_removable_edge(&mut rng, graph).and_then(|reduced| {
+                        let removed = removed_edge(graph, &reduced);
+                        reference_missing_edge(&mut rng, &reduced, Some(removed))
+                            .map(|uv| plus_edge(&reduced, uv))
+                    }),
+                    None,
+                ),
+                FaultKind::JoinNode { degree } => {
+                    let n = graph.num_nodes();
+                    let anchors = sample_distinct(&mut rng, n, degree.max(1));
+                    let mut edges = graph.edges().to_vec();
+                    edges.extend(anchors.iter().map(|&a| (a, n)));
+                    let next = Graph::from_edges(n + 1, &edges).unwrap();
+                    (Some(next), Some(Churn::Join))
+                }
+                FaultKind::LeaveNode => match reference_removable_node(&mut rng, graph) {
+                    Some((next, removed)) => (Some(next), Some(Churn::Leave(removed))),
+                    None => (None, None),
+                },
+            };
+            match next {
+                Some(next) => push_epoch(&mut epochs, &mut ops, event.step, next, churn),
+                None => skipped += 1,
+            }
+        }
+        ResolvedFaultPlan {
+            epochs,
+            ops,
+            skipped,
+        }
+    }
+
+    fn plus_edge(graph: &Graph, uv: (NodeId, NodeId)) -> Graph {
+        let mut edges = graph.edges().to_vec();
+        edges.push(uv);
+        Graph::from_edges(graph.num_nodes(), &edges).unwrap()
+    }
+
+    fn reference_missing_edge(
+        rng: &mut SmallRng,
+        graph: &Graph,
+        exclude: Option<(NodeId, NodeId)>,
+    ) -> Option<(NodeId, NodeId)> {
+        let n = graph.num_nodes();
+        if n < 2 {
+            return None;
+        }
+        for _ in 0..64 {
+            let u = rng.random_range(0..n);
+            let v = rng.random_range(0..n);
+            let (u, v) = (u.min(v), u.max(v));
+            if u != v && !graph.has_edge(u, v) && exclude != Some((u, v)) {
+                return Some((u, v));
+            }
+        }
+        None
+    }
+
+    fn reference_removable_edge(rng: &mut SmallRng, graph: &Graph) -> Option<Graph> {
+        let m = graph.num_edges();
+        if m < 2 {
+            return None;
+        }
+        for _ in 0..16 {
+            let e = rng.random_range(0..m);
+            let edges: Vec<(NodeId, NodeId)> = graph
+                .edges()
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != e)
+                .map(|(_, &uv)| uv)
+                .collect();
+            let candidate = Graph::from_edges(graph.num_nodes(), &edges).unwrap();
+            if is_connected(&candidate) {
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    fn removed_edge(graph: &Graph, reduced: &Graph) -> (NodeId, NodeId) {
+        *graph
+            .edges()
+            .iter()
+            .find(|&&(u, v)| !reduced.has_edge(u, v))
+            .unwrap()
+    }
+
+    fn reference_removable_node(rng: &mut SmallRng, graph: &Graph) -> Option<(Graph, NodeId)> {
+        let n = graph.num_nodes();
+        if n <= 2 {
+            return None;
+        }
+        for _ in 0..16 {
+            let v = rng.random_range(0..n);
+            let last = n - 1;
+            let relabel = |w: NodeId| if w == last { v } else { w };
+            let edges: Vec<(NodeId, NodeId)> = graph
+                .edges()
+                .iter()
+                .filter(|&&(a, b)| a != v && b != v)
+                .map(|&(a, b)| {
+                    let (a, b) = (relabel(a), relabel(b));
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            if edges.is_empty() {
+                continue;
+            }
+            let candidate = Graph::from_edges(n - 1, &edges).unwrap();
+            if is_connected(&candidate) {
+                return Some((candidate, v));
+            }
+        }
+        None
+    }
+
+    /// Small graphs spanning the removal regimes: a cycle (every edge
+    /// removable), a path (every edge a bridge), a star (only leaves
+    /// removable), a torus, a random 4-regular graph, a clique, and a
+    /// disconnected union (every removal skipped). `n` starts at 3, where
+    /// one leave reaches the `n ≤ 2` floor.
+    fn small_graph(family: u8, n: u32, seed: u64) -> Graph {
+        match family {
+            0 => families::cycle(n),
+            1 => families::path(n),
+            2 => families::star(n),
+            3 => families::torus(3, n),
+            4 => random::random_regular(2 * n.max(3), 4, seed),
+            5 => families::clique(n),
+            _ => families::cycle(n).disjoint_union(&families::clique(n)).0,
+        }
+    }
+
+    fn any_kind() -> impl Strategy<Value = FaultKind> {
+        (0u8..6, 0u32..5).prop_map(|(kind, k)| match kind {
+            0 => FaultKind::CorruptNodes { count: k },
+            1 => FaultKind::AddEdge,
+            2 => FaultKind::RemoveEdge,
+            3 => FaultKind::RewireEdge,
+            4 => FaultKind::JoinNode { degree: k },
+            _ => FaultKind::LeaveNode,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn resolve_equals_reference(
+            family in 0u8..7,
+            n in 3u32..12,
+            events in prop::collection::vec((0u64..1_000, any_kind()), 0..10),
+            seed in any::<u64>(),
+        ) {
+            let g = small_graph(family, n, seed);
+            let plan = FaultPlan {
+                events: events
+                    .into_iter()
+                    .map(|(step, kind)| FaultEvent { step, kind })
+                    .collect(),
+            };
+            prop_assert_eq!(plan.resolve(&g, seed), reference_resolve(&plan, &g, seed));
+        }
+    }
+
+    #[test]
+    fn removals_on_a_disconnected_graph_are_skipped() {
+        let g = small_graph(6, 6, 0);
+        let plan = FaultPlan::at(1, FaultKind::RemoveEdge)
+            .and(2, FaultKind::RewireEdge)
+            .and(3, FaultKind::LeaveNode);
+        for seed in 0..32 {
+            let resolved = plan.resolve(&g, seed);
+            assert_eq!(resolved.skipped, 3);
+            assert_eq!(resolved, reference_resolve(&plan, &g, seed));
         }
     }
 

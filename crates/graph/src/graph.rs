@@ -306,16 +306,183 @@ impl Graph {
 
     /// Returns a new graph with the given extra edges added.
     ///
+    /// Built by patching this graph's CSR rows, so the existing edges are
+    /// neither re-validated nor re-sorted: `O(n + m)` for a few extra
+    /// edges.
+    ///
     /// # Errors
     ///
     /// Same validation as [`GraphBuilder`]; adding an existing edge is a
     /// [`GraphError::DuplicateEdge`].
     pub fn with_edges(&self, extra: &[(NodeId, NodeId)]) -> Result<Graph, GraphError> {
-        let mut b = GraphBuilder::new(self.num_nodes);
-        for &(u, v) in self.edges.iter().chain(extra) {
-            b.add_edge(u, v)?;
+        self.edited(self.num_nodes, None, extra)
+    }
+
+    /// Returns a new graph with edge `edges()[e]` deleted and, if given,
+    /// the edge `add` inserted — one rewiring, as a CSR patch in
+    /// `O(n + m)`. Equal to [`Graph::from_edges`] of the edited edge list.
+    ///
+    /// # Errors
+    ///
+    /// Validates `add` like [`GraphBuilder`]; inserting an edge still
+    /// present after the deletion is a [`GraphError::DuplicateEdge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e >= num_edges()`.
+    pub fn with_edge_moved(
+        &self,
+        e: usize,
+        add: Option<(NodeId, NodeId)>,
+    ) -> Result<Graph, GraphError> {
+        self.edited(self.num_nodes, Some(self.edges[e]), add.as_slice())
+    }
+
+    /// Returns a new graph with one extra node, id `n`, adjacent to each
+    /// of `anchors` — a join, as a CSR patch in `O(n + m)` for a few
+    /// anchors. Equal to [`Graph::from_edges`] on `n + 1` nodes of the
+    /// edge list plus every `(a, n)`.
+    ///
+    /// # Errors
+    ///
+    /// Validates the new edges like [`GraphBuilder`]: an anchor above `n`
+    /// is out of range, an anchor equal to `n` a self-loop, and a repeated
+    /// anchor a duplicate edge.
+    pub fn with_node(&self, anchors: &[NodeId]) -> Result<Graph, GraphError> {
+        let n = self.num_nodes;
+        let extra: Vec<(NodeId, NodeId)> = anchors.iter().map(|&a| (a, n)).collect();
+        self.edited(n + 1, None, &extra)
+    }
+
+    /// Returns a new graph without node `v` and its edges; the last node
+    /// `n − 1` takes the id `v` to close the gap. A leave, as a CSR patch
+    /// in `O(n + m)`: equal to [`Graph::from_edges`] on `n − 1` nodes of
+    /// the edge list with the edges at `v` dropped and `n − 1` relabelled
+    /// to `v`.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::NodeOutOfRange`] if `v >= n`, and
+    /// [`GraphError::Empty`] when removing the only node.
+    pub fn without_node(&self, v: NodeId) -> Result<Graph, GraphError> {
+        let n = self.num_nodes;
+        if v >= n {
+            return Err(GraphError::NodeOutOfRange {
+                node: v,
+                num_nodes: n,
+            });
         }
-        b.build()
+        let last = n - 1;
+        if last == 0 {
+            return Err(GraphError::Empty);
+        }
+        let m = self.num_edges() - self.degree(v) as usize;
+        Ok(Self::from_rows(last, m, |w, adjacency| {
+            let mut row = self.neighbors(if w == v { last } else { w });
+            // `last` is the largest id, so it can only end a row; renamed
+            // to `v`, it moves to `v`'s place in the order.
+            let renamed = v != last && row.last() == Some(&last);
+            if renamed {
+                row = &row[..row.len() - 1];
+            }
+            push_row(adjacency, row, Some(v), renamed.then_some(v).as_slice());
+        }))
+    }
+
+    /// The CSR patch behind [`Graph::with_edges`], [`Graph::with_edge_moved`]
+    /// and [`Graph::with_node`]: the graph on `num_nodes ≥ n` nodes with
+    /// `removed` (an edge of `self`) deleted and `extra` inserted. The
+    /// extra edges are validated as [`GraphBuilder`] would validate them
+    /// after the existing ones, so the errors match
+    /// [`Graph::from_edges`] of the edited list.
+    fn edited(
+        &self,
+        num_nodes: u32,
+        removed: Option<(NodeId, NodeId)>,
+        extra: &[(NodeId, NodeId)],
+    ) -> Result<Graph, GraphError> {
+        let mut check = GraphBuilder::new(num_nodes);
+        for &(u, v) in extra {
+            check.add_edge(u, v)?;
+        }
+        let mut added = check.edges;
+        added.sort_unstable();
+        for (i, &(u, v)) in added.iter().enumerate() {
+            let present = self.has_edge(u, v) && removed != Some((u, v));
+            if present || (i > 0 && added[i - 1] == (u, v)) {
+                return Err(GraphError::DuplicateEdge(u, v));
+            }
+        }
+        // Both directions of every new edge, grouped by row.
+        let mut half: Vec<(NodeId, NodeId)> =
+            added.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        half.sort_unstable();
+        let m = self.num_edges() - usize::from(removed.is_some()) + added.len();
+        let mut pending = &half[..];
+        let mut insert = Vec::new();
+        Ok(Self::from_rows(num_nodes, m, |w, adjacency| {
+            let row = if w < self.num_nodes {
+                self.neighbors(w)
+            } else {
+                &[]
+            };
+            let drop = match removed {
+                Some((a, b)) if w == a => Some(b),
+                Some((a, b)) if w == b => Some(a),
+                _ => None,
+            };
+            let k = pending.partition_point(|&(x, _)| x == w);
+            insert.clear();
+            insert.extend(pending[..k].iter().map(|&(_, y)| y));
+            pending = &pending[k..];
+            push_row(adjacency, row, drop, &insert);
+        }))
+    }
+
+    /// Builds the graph whose row `w` is what `fill(w, adjacency)` appends
+    /// (ascending), reading the canonical edge list off each row as it is
+    /// written: `O(n + m)`, no sort. `num_edges` sizes the buffers.
+    fn from_rows(
+        num_nodes: u32,
+        num_edges: usize,
+        mut fill: impl FnMut(NodeId, &mut Vec<NodeId>),
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(num_nodes as usize + 1);
+        let mut adjacency = Vec::with_capacity(2 * num_edges);
+        let mut edges = Vec::with_capacity(num_edges);
+        offsets.push(0);
+        for u in 0..num_nodes {
+            let start = adjacency.len();
+            fill(u, &mut adjacency);
+            let row = &adjacency[start..];
+            debug_assert!(row.windows(2).all(|p| p[0] < p[1]), "row {u} not ascending");
+            let above = row.partition_point(|&w| w < u);
+            edges.extend(row[above..].iter().map(|&w| (u, w)));
+            offsets.push(adjacency.len() as u32);
+        }
+        Self {
+            num_nodes,
+            edges,
+            offsets,
+            adjacency,
+        }
+    }
+}
+
+/// Appends `row` without `drop` to `adjacency`, then slots each of the
+/// (few) `insert` ids into place — one or two slice copies per row.
+fn push_row(adjacency: &mut Vec<NodeId>, row: &[NodeId], drop: Option<NodeId>, insert: &[NodeId]) {
+    let start = adjacency.len();
+    match drop.map(|x| row.binary_search(&x)) {
+        Some(Ok(i)) => {
+            adjacency.extend_from_slice(&row[..i]);
+            adjacency.extend_from_slice(&row[i + 1..]);
+        }
+        _ => adjacency.extend_from_slice(row),
+    }
+    for &y in insert {
+        let at = start + adjacency[start..].partition_point(|&w| w < y);
+        adjacency.insert(at, y);
     }
 }
 
@@ -434,6 +601,100 @@ mod tests {
         let g2 = g.with_edges(&[(1, 2)]).unwrap();
         assert_eq!(g2.num_edges(), 2);
         assert!(g.with_edges(&[(0, 1)]).is_err());
+    }
+
+    /// `g`'s edge list with edge `e` dropped and `add` appended, through
+    /// the builder — what [`Graph::with_edge_moved`] must equal.
+    fn moved_reference(g: &Graph, e: usize, add: Option<(NodeId, NodeId)>) -> Graph {
+        let mut edges = g.edges().to_vec();
+        edges.remove(e);
+        edges.extend(add);
+        Graph::from_edges(g.num_nodes(), &edges).unwrap()
+    }
+
+    /// `g` without node `v`, the last node relabelled to `v`, through
+    /// the builder — what [`Graph::without_node`] must equal.
+    fn without_reference(g: &Graph, v: NodeId) -> Graph {
+        let last = g.num_nodes() - 1;
+        let relabel = |w| if w == last { v } else { w };
+        let edges: Vec<_> = g
+            .edges()
+            .iter()
+            .filter(|&&(a, b)| a != v && b != v)
+            .map(|&(a, b)| (relabel(a), relabel(b)))
+            .collect();
+        Graph::from_edges(last, &edges).unwrap()
+    }
+
+    #[test]
+    fn with_node_anchors_at_both_ends() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        for anchors in [&[0][..], &[4], &[4, 0], &[2, 4, 0, 1, 3], &[]] {
+            let mut edges = g.edges().to_vec();
+            edges.extend(anchors.iter().map(|&a| (a, 5)));
+            assert_eq!(
+                g.with_node(anchors),
+                Graph::from_edges(6, &edges),
+                "anchors {anchors:?}"
+            );
+        }
+        assert_eq!(g.with_node(&[1, 1]), Err(GraphError::DuplicateEdge(1, 5)));
+        assert_eq!(g.with_node(&[5]), Err(GraphError::SelfLoop(5)));
+        assert_eq!(
+            g.with_node(&[6]),
+            Err(GraphError::NodeOutOfRange {
+                node: 6,
+                num_nodes: 6
+            })
+        );
+    }
+
+    #[test]
+    fn without_node_relabels_the_last_node() {
+        // Node 4 is adjacent to 0 and 2, so relabelling it to 1 moves it
+        // into the middle of both rows.
+        let g = Graph::from_edges(5, &[(0, 1), (0, 4), (1, 2), (2, 4), (2, 3), (3, 4)]).unwrap();
+        for v in 0..5 {
+            assert_eq!(
+                g.without_node(v).unwrap(),
+                without_reference(&g, v),
+                "v = {v}"
+            );
+        }
+        // Removing the last node itself relabels nothing.
+        assert_eq!(g.without_node(4).unwrap().num_nodes(), 4);
+        assert_eq!(
+            Graph::from_edges(1, &[]).unwrap().without_node(0),
+            Err(GraphError::Empty)
+        );
+        assert!(matches!(
+            g.without_node(5),
+            Err(GraphError::NodeOutOfRange { node: 5, .. })
+        ));
+    }
+
+    #[test]
+    fn with_edge_moved_lands_first_or_last() {
+        let g = Graph::from_edges(5, &[(0, 2), (1, 2), (1, 3), (2, 3)]).unwrap();
+        for e in 0..g.num_edges() {
+            // (0, 1) sorts before every edge, (3, 4) after every edge, and
+            // re-adding the removed edge is allowed.
+            for add in [None, Some((0, 1)), Some((4, 3)), Some(g.edges()[e])] {
+                assert_eq!(
+                    g.with_edge_moved(e, add).unwrap(),
+                    moved_reference(&g, e, add),
+                    "e = {e}, add = {add:?}"
+                );
+            }
+        }
+        assert_eq!(
+            g.with_edge_moved(0, Some((2, 1))),
+            Err(GraphError::DuplicateEdge(1, 2))
+        );
+        assert_eq!(
+            g.with_edge_moved(0, Some((3, 3))),
+            Err(GraphError::SelfLoop(3))
+        );
     }
 
     #[test]

@@ -27,6 +27,49 @@ fn arbitrary_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Every CSR-patch constructor equals `Graph::from_edges` of the
+    /// edited edge list — errors included, for arbitrary (possibly
+    /// invalid) anchors and added edges.
+    #[test]
+    fn csr_patches_equal_rebuilds(
+        g in arbitrary_graph(),
+        anchors in prop::collection::vec(0u32..32, 0..6),
+        pick in any::<u32>(),
+        add in (0u32..31, 0u32..31),
+    ) {
+        let n = g.num_nodes();
+        let mut joined = g.edges().to_vec();
+        joined.extend(anchors.iter().map(|&a| (a, n)));
+        prop_assert_eq!(g.with_node(&anchors), Graph::from_edges(n + 1, &joined));
+
+        let extra = [add, (add.1 % n, add.0 % n)];
+        let mut added = g.edges().to_vec();
+        added.extend(extra);
+        prop_assert_eq!(g.with_edges(&extra), Graph::from_edges(n, &added));
+
+        let v = pick % n;
+        let last = n - 1;
+        let relabel = |w| if w == last { v } else { w };
+        let left: Vec<_> = g
+            .edges()
+            .iter()
+            .filter(|&&(a, b)| a != v && b != v)
+            .map(|&(a, b)| (relabel(a), relabel(b)))
+            .collect();
+        prop_assert_eq!(g.without_node(v), Graph::from_edges(last, &left));
+
+        if g.num_edges() > 0 {
+            let e = pick as usize % g.num_edges();
+            let mut moved = g.edges().to_vec();
+            moved.remove(e);
+            for add in [None, Some(add), Some((add.0 % n, add.1 % n))] {
+                let mut edges = moved.clone();
+                edges.extend(add);
+                prop_assert_eq!(g.with_edge_moved(e, add), Graph::from_edges(n, &edges));
+            }
+        }
+    }
+
     /// Handshake lemma and adjacency symmetry for arbitrary graphs.
     #[test]
     fn handshake_and_symmetry(g in arbitrary_graph()) {
