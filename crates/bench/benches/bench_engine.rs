@@ -30,6 +30,10 @@
 //!   `n = 10⁷` has ~5·10¹³ edges, so the graph-backed engines cannot
 //!   even construct the workload. The JSON reports absolute medians and
 //!   interactions/second instead of a speedup.
+//! * **engine selection** ([`EngineSelection::prepare`]): the sweep's
+//!   fault-free fast cell on `clique(1024)`, whose AOT closure holds
+//!   1014 states after about 500 rounds — the selection layer of a
+//!   sweep campaign, standalone (absolute median).
 //! * **campaign scheduler** ([`run_campaign`]): end-to-end sweep
 //!   campaigns through the real runner — a 32-shard grid under the
 //!   serial scheduler vs a 4-worker pool (identical outputs by the
@@ -55,15 +59,15 @@ use criterion::{black_box, take_measurements, BenchmarkId, Criterion, Measuremen
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, TokenProtocol};
 use popele_engine::{
-    compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, LaneDenseExecutor,
-    LazyDenseExecutor, Protocol,
+    compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Engine, EngineSelection,
+    Executor, LaneDenseExecutor, LazyDenseExecutor, Protocol,
 };
 use popele_graph::{families, Graph};
 use popele_lab::sweep::{
     run_campaign, CampaignOptions, CellMeta, Checkpoint, Journal, JournalEntry, ProtocolSpec,
     SweepSpec, TrialRecord,
 };
-use popele_lab::workloads::Family;
+use popele_lab::workloads::{broadcast_guess, Family};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -467,6 +471,43 @@ fn bench_count(c: &mut Criterion) {
     group.finish();
 }
 
+/// Selection workload name and graph size, shared with `render_json`
+/// for the same rename protection as [`FAST_STEPS_WORKLOAD`].
+const SELECT_WORKLOAD: &str = "fast_clique_1024";
+const SELECT_NODES: u32 = 1024;
+/// States the fast protocol's AOT closure holds at the parameters the
+/// sweep derives for `clique(1024)`: just under the default cap.
+const SELECT_STATES: usize = 1014;
+
+/// Engine selection of the sweep's fault-free fast cell on
+/// `clique(1024)`: [`EngineSelection::prepare`] at the parameters
+/// `FastParams::practical` derives from the graph, exactly as the sweep
+/// runner builds them. The closure takes about `k/2` rounds (the level
+/// counters climb one level per round), so this row is where a closure
+/// that rescans closed pairs every round shows up; what it measures is
+/// the overflow walk, the `k²` closure and the `k²` table fill.
+fn bench_select(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine/select");
+    let g = families::clique(SELECT_NODES);
+    let p = FastProtocol::new(FastParams::practical(
+        broadcast_guess(&g),
+        g.max_degree(),
+        g.num_edges(),
+        g.num_nodes(),
+    ));
+    let compiled = CompiledProtocol::compile_default(&p, SELECT_NODES)
+        .expect("the sweep's clique(1024) fast cell fits the AOT cap");
+    assert_eq!(compiled.num_states(), SELECT_STATES);
+    group.bench_function(BenchmarkId::new("prepare", SELECT_WORKLOAD), |b| {
+        b.iter(|| {
+            let selection = EngineSelection::prepare(&p, SELECT_NODES);
+            assert_eq!(selection.engine(), Engine::Dense);
+            black_box(selection)
+        });
+    });
+    group.finish();
+}
+
 /// Campaign-tier workload names, shared with `render_json` for the same
 /// rename protection as [`FAST_STEPS_WORKLOAD`].
 const CAMPAIGN_GRID_WORKLOAD: &str = "grid_32shards";
@@ -730,6 +771,20 @@ fn render_json(ms: &[Measurement]) -> (String, Vec<String>) {
         }
         out.push('}');
     }
+    if let Some(m) = median_of(ms, &format!("engine/select/prepare/{SELECT_WORKLOAD}")) {
+        if !first {
+            out.push_str(",\n");
+        }
+        first = false;
+        let _ = write!(
+            out,
+            "    {{\"workload\": \"engine/select/{SELECT_WORKLOAD}\", \"engine\": \"dense\", \
+             \"num_states\": {SELECT_STATES}, \"prepare_median_ns\": {:.0}}}",
+            m.median_ns
+        );
+    } else {
+        missing.push(format!("engine/select/{SELECT_WORKLOAD} (prepare)"));
+    }
     // Campaign tier: the scheduler race reports the serial/pool ratio
     // (≈1.0 on a single-core host — see the module doc); the checkpoint
     // row reports the per-append journal cost (batch median divided by
@@ -802,6 +857,7 @@ fn main() {
     bench_fixed_steps(&mut c);
     bench_lanes(&mut c);
     bench_count(&mut c);
+    bench_select(&mut c);
     bench_campaign(&mut c);
 
     let ms = take_measurements();

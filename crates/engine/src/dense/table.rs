@@ -7,6 +7,15 @@
 //!   state reachable under *any* schedule on *any* graph with the given
 //!   node count (and possibly more), so the table covers every pair an
 //!   execution can sample.
+//! * The closure of a `k`-state set costs `k²` transition evaluations
+//!   and `k²` loop iterations, independent of the number of BFS rounds:
+//!   each round evaluates only the pairs that involve a state new in
+//!   that round, and rows of already-closed states start at the first
+//!   new column. That matters for progress-counter protocols (the fast
+//!   protocol's levels, the space-optimal construction's counters),
+//!   which discover one level per round and so close in `Θ(k)` rounds.
+//!   Compilation then fills the table with a second `k²` pass;
+//!   interning hashes with [`super::lazy::FoldHasher`].
 //! * [`probe_state_space`] answers "would compilation fit the cap?"
 //!   with a bounded amount of work — the fast-rejection path that keeps
 //!   engine selection cheap for protocols (like the identifier protocol
@@ -31,6 +40,7 @@
 //! decision.
 
 use super::exec::PairTable;
+use super::lazy::FoldHashBuilder;
 use crate::protocol::{Protocol, Role};
 use popele_graph::NodeId;
 use std::collections::HashMap;
@@ -74,7 +84,7 @@ impl std::error::Error for CompileError {}
 /// extra seed states, for arbitrary-initialization runs).
 struct Enumeration<S> {
     states: Vec<S>,
-    ids: HashMap<S, StateId>,
+    ids: HashMap<S, StateId, FoldHashBuilder>,
     initial: Vec<StateId>,
 }
 
@@ -103,12 +113,12 @@ fn enumerate<P: Protocol>(
         "max_states must be in 1..={MAX_STATE_IDS}"
     );
     let mut states: Vec<P::State> = Vec::new();
-    let mut ids: HashMap<P::State, StateId> = HashMap::new();
+    let mut ids: HashMap<P::State, StateId, FoldHashBuilder> = HashMap::default();
 
     fn intern<S: Clone + Eq + std::hash::Hash>(
         s: &S,
         states: &mut Vec<S>,
-        ids: &mut HashMap<S, StateId>,
+        ids: &mut HashMap<S, StateId, FoldHashBuilder>,
         max_states: usize,
     ) -> Result<StateId, EnumerateStop> {
         if let Some(&id) = ids.get(s) {
@@ -132,16 +142,16 @@ fn enumerate<P: Protocol>(
         intern(s, &mut states, &mut ids, max_states)?;
     }
 
-    // BFS closure: repeatedly expand every ordered pair involving at
-    // least one state discovered since the last round.
+    // BFS closure: each round expands every ordered pair involving at
+    // least one state discovered since the last round. Rows of closed
+    // states start at the first new column, so the whole closure costs
+    // k² evaluations and k² iterations however many rounds it takes.
     let mut closed_upto = 0usize;
     while closed_upto < states.len() {
         let frontier_end = states.len();
         for a in 0..frontier_end {
-            for b in 0..frontier_end {
-                if a < closed_upto && b < closed_upto {
-                    continue;
-                }
+            let first_new = if a < closed_upto { closed_upto } else { 0 };
+            for b in first_new..frontier_end {
                 if eval_budget == 0 {
                     return Err(EnumerateStop::BudgetExhausted);
                 }
@@ -203,8 +213,8 @@ pub enum SpaceProbe {
 /// mint fresh states on almost every evaluation, so the verdict arrives
 /// within a few thousand evaluations: **microseconds**, versus the
 /// ~10 ms the quadratic closure needs to overflow the same cap. That
-/// difference is the point: sweep campaigns re-select the engine for
-/// every shard.
+/// difference is the point: every sweep cell selects its engine, and
+/// most cells of the identifier and full-scale fast protocols overflow.
 ///
 /// **Phase 2 — budgeted closure.** If the walk exhausts its frontier
 /// below the cap (it explores a subset of reachable pairs, so it cannot
@@ -280,7 +290,7 @@ pub(crate) fn overflow_walk<P: Protocol>(
         "max_states must be in 1..={MAX_STATE_IDS}"
     );
     let mut states: Vec<P::State> = Vec::new();
-    let mut ids: HashMap<P::State, StateId> = HashMap::new();
+    let mut ids: HashMap<P::State, StateId, FoldHashBuilder> = HashMap::default();
     let mut budget = eval_budget;
 
     // Local intern without the cap bail: the walk *wants* to exceed the
@@ -372,7 +382,7 @@ pub struct CompiledProtocol<P: Protocol> {
     /// Id → typed state.
     pub(crate) states: Vec<P::State>,
     /// Typed state → id (kept for introspection and differential tests).
-    ids: HashMap<P::State, StateId>,
+    ids: HashMap<P::State, StateId, FoldHashBuilder>,
     /// Node → id of its initial state; length `num_nodes`.
     pub(crate) initial: Vec<StateId>,
     /// Flat `k × k` successor table, entry `a·k + b` packing
@@ -658,6 +668,10 @@ mod tests {
     use super::*;
     use crate::protocol::LeaderCountOracle;
     use crate::testkit::Absorb;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
 
     /// A protocol with an unbounded (counter) state space: compilation
     /// must bail out at the cap.
@@ -780,5 +794,368 @@ mod tests {
             probe_state_space(&Absorb, 8, 16, 1),
             SpaceProbe::Inconclusive
         );
+    }
+
+    /// Reference closure: every round walks the whole `frontier_end²`
+    /// square and skips the closed pairs one at a time (O(rounds · k²)
+    /// iterations), interning through a SipHash map. [`enumerate`] must
+    /// match it bit for bit.
+    #[allow(clippy::type_complexity)]
+    fn reference_closure<P: Protocol>(
+        protocol: &P,
+        num_nodes: u32,
+        max_states: usize,
+        mut eval_budget: usize,
+        extra_seeds: &[P::State],
+    ) -> Result<(Vec<P::State>, HashMap<P::State, StateId>, Vec<StateId>), EnumerateStop> {
+        let mut states: Vec<P::State> = Vec::new();
+        let mut ids: HashMap<P::State, StateId> = HashMap::new();
+
+        fn intern<S: Clone + Eq + std::hash::Hash>(
+            s: &S,
+            states: &mut Vec<S>,
+            ids: &mut HashMap<S, StateId>,
+            max_states: usize,
+        ) -> Result<StateId, EnumerateStop> {
+            if let Some(&id) = ids.get(s) {
+                return Ok(id);
+            }
+            if states.len() >= max_states {
+                return Err(EnumerateStop::CapExceeded);
+            }
+            let id = states.len() as StateId;
+            states.push(s.clone());
+            ids.insert(s.clone(), id);
+            Ok(id)
+        }
+
+        let mut initial = Vec::with_capacity(num_nodes as usize);
+        for v in 0..num_nodes {
+            let s = protocol.initial_state(v);
+            initial.push(intern(&s, &mut states, &mut ids, max_states)?);
+        }
+        for s in extra_seeds {
+            intern(s, &mut states, &mut ids, max_states)?;
+        }
+        let mut closed_upto = 0usize;
+        while closed_upto < states.len() {
+            let frontier_end = states.len();
+            for a in 0..frontier_end {
+                for b in 0..frontier_end {
+                    if a < closed_upto && b < closed_upto {
+                        continue;
+                    }
+                    if eval_budget == 0 {
+                        return Err(EnumerateStop::BudgetExhausted);
+                    }
+                    eval_budget -= 1;
+                    let (na, nb) = protocol.transition(&states[a], &states[b]);
+                    intern(&na, &mut states, &mut ids, max_states)?;
+                    intern(&nb, &mut states, &mut ids, max_states)?;
+                }
+            }
+            closed_upto = frontier_end;
+        }
+        Ok((states, ids, initial))
+    }
+
+    /// Everything compilation produces, from the reference closure.
+    #[derive(Debug, PartialEq)]
+    struct ReferenceTables<S> {
+        states: Vec<S>,
+        initial: Vec<StateId>,
+        table: Vec<u32>,
+        leader_delta: Vec<i8>,
+        fused: Option<Vec<u32>>,
+    }
+
+    /// [`CompiledProtocol::compile_with_seeds`] on top of
+    /// [`reference_closure`].
+    fn reference_compile<P: Protocol>(
+        protocol: &P,
+        num_nodes: u32,
+        max_states: usize,
+        extra_seeds: &[P::State],
+    ) -> Result<ReferenceTables<P::State>, CompileError> {
+        let (states, ids, initial) =
+            reference_closure(protocol, num_nodes, max_states, usize::MAX, extra_seeds)
+                .map_err(|_| CompileError::StateSpaceTooLarge { limit: max_states })?;
+        let k = states.len();
+        let leader = |s: &P::State| i8::from(protocol.output(s) == Role::Leader);
+        let mut table = vec![0u32; k * k];
+        let mut leader_delta = vec![0i8; k * k];
+        let mut fused = (k <= 256).then(|| vec![0u32; k << 8]);
+        for a in 0..k {
+            for b in 0..k {
+                let (na, nb) = protocol.transition(&states[a], &states[b]);
+                let delta = leader(&na) + leader(&nb) - leader(&states[a]) - leader(&states[b]);
+                let (ia, ib) = (u32::from(ids[&na]), u32::from(ids[&nb]));
+                table[a * k + b] = (ia << 16) | ib;
+                leader_delta[a * k + b] = delta;
+                if let Some(fused) = fused.as_mut() {
+                    fused[(a << 8) | b] = ((i32::from(delta) + 2) as u32) << 16 | (ia << 8) | ib;
+                }
+            }
+        }
+        Ok(ReferenceTables {
+            states,
+            initial,
+            table,
+            leader_delta,
+            fused,
+        })
+    }
+
+    /// [`probe_state_space`] with [`reference_closure`] as phase 2.
+    fn reference_probe<P: Protocol>(
+        protocol: &P,
+        num_nodes: u32,
+        max_states: usize,
+        eval_budget: usize,
+    ) -> SpaceProbe {
+        match overflow_walk(protocol, num_nodes, max_states, eval_budget) {
+            (WalkVerdict::Exceeds, _) => SpaceProbe::TooLarge,
+            (WalkVerdict::Budget, _) => SpaceProbe::Inconclusive,
+            (WalkVerdict::Exhausted, used) => {
+                match reference_closure(protocol, num_nodes, max_states, eval_budget - used, &[]) {
+                    Ok((states, _, _)) => SpaceProbe::Fits(states.len()),
+                    Err(EnumerateStop::CapExceeded) => SpaceProbe::TooLarge,
+                    Err(EnumerateStop::BudgetExhausted) => SpaceProbe::Inconclusive,
+                }
+            }
+        }
+    }
+
+    /// Size of the state universe [`RandomTable`] draws its successor
+    /// table over.
+    const RANDOM_STATES: usize = 12;
+
+    /// A protocol over the `u8` states `0..k` driven by a random
+    /// successor table, with random initial states and leader outputs.
+    #[derive(Debug, Clone)]
+    struct RandomTable {
+        k: u8,
+        /// `RANDOM_STATES²` successor pairs, reduced mod `k`.
+        succ: Vec<(u8, u8)>,
+        /// Node `v` starts in `init[v % init.len()] % k`.
+        init: Vec<u8>,
+        /// Bit `s` set: state `s` outputs leader.
+        leaders: u16,
+    }
+
+    impl Protocol for RandomTable {
+        type State = u8;
+        type Oracle = LeaderCountOracle;
+
+        fn initial_state(&self, v: NodeId) -> u8 {
+            self.init[v as usize % self.init.len()] % self.k
+        }
+
+        fn transition(&self, a: &u8, b: &u8) -> (u8, u8) {
+            let (x, y) = self.succ[usize::from(*a) * RANDOM_STATES + usize::from(*b)];
+            (x % self.k, y % self.k)
+        }
+
+        fn output(&self, s: &u8) -> Role {
+            if self.leaders >> s & 1 == 1 {
+                Role::Leader
+            } else {
+                Role::Follower
+            }
+        }
+
+        fn oracle(&self) -> LeaderCountOracle {
+            LeaderCountOracle::new()
+        }
+    }
+
+    /// A level counter that climbs one rung per closure round, the shape
+    /// of the fast protocol's levels: `(a, a)` lifts the initiator to
+    /// `a + 1` (up to `top`), any other pair sorts itself high-first. From
+    /// level 0 the closure needs `top + 1` rounds to close.
+    #[derive(Debug, Clone, Copy)]
+    struct Ladder {
+        top: u16,
+    }
+
+    impl Protocol for Ladder {
+        type State = u16;
+        type Oracle = LeaderCountOracle;
+
+        fn initial_state(&self, _v: NodeId) -> u16 {
+            0
+        }
+
+        fn transition(&self, a: &u16, b: &u16) -> (u16, u16) {
+            if a == b {
+                ((*a + 1).min(self.top), *b)
+            } else {
+                (*a.max(b), *a.min(b))
+            }
+        }
+
+        fn output(&self, s: &u16) -> Role {
+            if s.is_multiple_of(3) {
+                Role::Leader
+            } else {
+                Role::Follower
+            }
+        }
+
+        fn oracle(&self) -> LeaderCountOracle {
+            LeaderCountOracle::new()
+        }
+    }
+
+    /// Asserts that compiling `protocol` yields exactly the reference
+    /// tables (or the same error) and that the probe's verdict is the
+    /// reference probe's.
+    fn assert_compile_equals_reference<P: Protocol + Clone>(
+        protocol: &P,
+        num_nodes: u32,
+        max_states: usize,
+        extra_seeds: &[P::State],
+        probe_budget: usize,
+    ) -> Result<(), TestCaseError> {
+        let compiled =
+            CompiledProtocol::compile_with_seeds(protocol, num_nodes, max_states, extra_seeds).map(
+                |c| ReferenceTables {
+                    states: c.states,
+                    initial: c.initial,
+                    table: c.table,
+                    leader_delta: c.leader_delta,
+                    fused: c.fused,
+                },
+            );
+        prop_assert_eq!(
+            compiled,
+            reference_compile(protocol, num_nodes, max_states, extra_seeds)
+        );
+        prop_assert_eq!(
+            probe_state_space(protocol, num_nodes, max_states, probe_budget),
+            reference_probe(protocol, num_nodes, max_states, probe_budget)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compile_equals_reference(
+            k in 1u8..=RANDOM_STATES as u8,
+            succ in prop::collection::vec((any::<u8>(), any::<u8>()), RANDOM_STATES * RANDOM_STATES),
+            init in prop::collection::vec(any::<u8>(), 1..4),
+            seeds in prop::collection::vec(any::<u8>(), 0..3),
+            leaders in any::<u16>(),
+            num_nodes in 1u32..6,
+            cap in 1usize..=14,
+            probe_budget in 0usize..200,
+            top in 0u16..60,
+            ladder_cap in 1usize..=64,
+            ladder_seeds in prop::collection::vec(0u16..60, 0..3),
+            ladder_budget in 0usize..5_000,
+        ) {
+            let random = RandomTable { k, succ, init, leaders };
+            let seeds: Vec<u8> = seeds.into_iter().map(|s| s % k).collect();
+            assert_compile_equals_reference(&random, num_nodes, cap, &seeds, probe_budget)?;
+
+            let ladder = Ladder { top };
+            let ladder_seeds: Vec<u16> = ladder_seeds.into_iter().map(|s| s.min(top)).collect();
+            assert_compile_equals_reference(&ladder, num_nodes, ladder_cap, &ladder_seeds, ladder_budget)?;
+        }
+    }
+
+    /// Every ordered pair a [`Counting`] protocol evaluated, in order.
+    type Evaluations<S> = Arc<Mutex<Vec<(S, S)>>>;
+
+    /// Wraps a protocol and records every ordered pair it evaluates
+    /// (clones share the record).
+    #[derive(Clone)]
+    struct Counting<P: Protocol> {
+        inner: P,
+        pairs: Evaluations<P::State>,
+    }
+
+    impl<P: Protocol> Counting<P> {
+        fn new(inner: P) -> Self {
+            Self {
+                inner,
+                pairs: Arc::default(),
+            }
+        }
+
+        fn evaluations(&self) -> Vec<(P::State, P::State)> {
+            self.pairs.lock().unwrap().clone()
+        }
+    }
+
+    impl<P: Protocol> Protocol for Counting<P> {
+        type State = P::State;
+        type Oracle = LeaderCountOracle;
+
+        fn initial_state(&self, v: NodeId) -> P::State {
+            self.inner.initial_state(v)
+        }
+
+        fn transition(&self, a: &P::State, b: &P::State) -> (P::State, P::State) {
+            self.pairs.lock().unwrap().push((a.clone(), b.clone()));
+            self.inner.transition(a, b)
+        }
+
+        fn output(&self, s: &P::State) -> Role {
+            self.inner.output(s)
+        }
+
+        fn oracle(&self) -> LeaderCountOracle {
+            LeaderCountOracle::new()
+        }
+    }
+
+    /// Asserts that the closure of `protocol` evaluates every ordered
+    /// pair of the closed set exactly once: k² evaluations.
+    fn assert_each_pair_once<P: Protocol>(protocol: P, extra_seeds: &[P::State]) -> usize {
+        let counting = Counting::new(protocol);
+        let Ok(e) = enumerate(&counting, 4, MAX_STATE_IDS, usize::MAX, extra_seeds) else {
+            panic!("closure exceeded the cap");
+        };
+        let k = e.states.len();
+        let pairs = counting.evaluations();
+        assert_eq!(pairs.len(), k * k, "{k} states");
+        let distinct: HashSet<_> = pairs.iter().collect();
+        assert_eq!(distinct.len(), k * k, "a pair was evaluated twice");
+        assert!(pairs
+            .iter()
+            .all(|(a, b)| e.ids.contains_key(a) && e.ids.contains_key(b)));
+        k
+    }
+
+    #[test]
+    fn closure_evaluates_each_pair_once() {
+        // ≈k rounds: the rescanning closure ran ~k³/3 iterations here.
+        assert_eq!(assert_each_pair_once(Ladder { top: 199 }, &[]), 200);
+        // Seeds below, inside and above the clean closure's reach.
+        assert_eq!(
+            assert_each_pair_once(Ladder { top: 99 }, &[3, 250, 99]),
+            101
+        );
+        let random = RandomTable {
+            k: 12,
+            succ: (0..RANDOM_STATES * RANDOM_STATES)
+                .map(|i| ((i * 7 % 13) as u8, (i * 5 % 11) as u8))
+                .collect(),
+            init: vec![0],
+            leaders: 0b101,
+        };
+        let clean = assert_each_pair_once(random.clone(), &[]);
+        let seeded = assert_each_pair_once(random, &[11, 4]);
+        assert!(seeded >= clean);
+        assert_each_pair_once(Clamp, &[2]);
+
+        // Compilation adds one fill pass: 2k² evaluations in all.
+        let counting = Counting::new(Ladder { top: 63 });
+        let c = CompiledProtocol::compile_with_seeds(&counting, 4, 1024, &[7]).unwrap();
+        assert_eq!(c.num_states(), 64);
+        assert_eq!(counting.evaluations().len(), 2 * 64 * 64);
     }
 }

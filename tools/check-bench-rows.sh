@@ -6,7 +6,8 @@
 # bench source and committed without regenerating the baseline would
 # only surface at the next full bench run — this script makes the gap
 # CI-checkable. The expected list mirrors the bench manifests
-# (`json_workloads` + `count_workloads`); update both together.
+# (`json_workloads`, `lanes_workloads`, `count_workloads` and the
+# `SELECT_WORKLOAD` and campaign constants); update both together.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,7 @@ expected=(
   "engine/count/fast_clique_1e7"
   "engine/count/fast_clique_1e8"
   "engine/count/token_clique_1e9"
+  "engine/select/fast_clique_1024"
   "sweep/campaign/grid_32shards"
   "sweep/campaign/checkpoint_1000"
 )
